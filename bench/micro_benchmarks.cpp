@@ -3,8 +3,8 @@
 // simulator throughput per policy.
 #include <benchmark/benchmark.h>
 
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/buffer_cache.hpp"
 #include "cache/lru_cache.hpp"
@@ -142,8 +142,9 @@ BENCHMARK(BM_EnumerateCandidatesCached);
 
 void BM_SnapshotRestore(benchmark::State& state) {
   // Full engine snapshot -> restore round trip over a trained tree: the
-  // preorder serialization walk streams child runs straight out of the
-  // arena, and restore rebuilds the SoA planes node by node.  items/s is
+  // preorder serialization walk appends child runs straight out of the
+  // arena into a byte buffer, and restore rebuilds the pre-sized SoA
+  // planes node by node from a span over it.  items/s is
   // round trips; the label carries the snapshot size so regressions in
   // the wire format show up alongside throughput ones.
   const auto& t = cad_trace();
@@ -152,18 +153,14 @@ void BM_SnapshotRestore(benchmark::State& state) {
   config.policy.kind = core::policy::PolicyKind::kTreeNextLimit;
   engine::PrefetchEngine trained(config);
   trained.run_trace(t);
-  std::string bytes;
-  {
-    std::ostringstream out;
-    trained.snapshot(out);
-    bytes = std::move(out).str();
-  }
+  std::vector<std::uint8_t> bytes;
+  trained.snapshot(bytes);
+  std::vector<std::uint8_t> image;
   for (auto _ : state) {
-    std::ostringstream out;
-    trained.snapshot(out);
-    std::istringstream in(std::move(out).str());
+    image.clear();
+    trained.snapshot(image);
     engine::PrefetchEngine fresh(config);
-    fresh.restore(in);
+    fresh.restore(image);
     benchmark::DoNotOptimize(fresh.stats());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

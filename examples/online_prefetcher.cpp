@@ -16,7 +16,7 @@
 // scraper; the run ends with the per-phase latency breakdown and a
 // Prometheus text exposition of the counters.
 #include <iostream>
-#include <sstream>
+#include <vector>
 
 #include "engine/prefetch_engine.hpp"
 #include "obs/prometheus.hpp"
@@ -90,9 +90,9 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   // --- persistence: snapshot the trained engine, restore, resume -------
-  std::stringstream blob;
+  std::vector<std::uint8_t> blob;
   eng.snapshot(blob);
-  std::cout << "engine snapshot: " << blob.str().size() << " bytes ("
+  std::cout << "engine snapshot: " << blob.size() << " bytes ("
             << util::format_count(eng.metrics().policy.tree_nodes)
             << " predictor nodes + cache residency + metrics)\n";
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +15,9 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'P', 'F', 'A', 'S'};
 constexpr std::uint16_t kStreamVersion = 1;
+/// Smallest possible row record (an empty row); bounds a row count by
+/// the bytes present.
+constexpr std::size_t kRowHeaderBytes = 8 + 4 + 4;
 
 [[noreturn]] void corrupt(const char* what) {
   throw std::runtime_error(std::string("association stream: ") + what);
@@ -192,46 +193,47 @@ std::size_t AssociationMiner::actual_memory_bytes() const noexcept {
          window_.capacity() * sizeof(trace::BlockId);
 }
 
-void AssociationMiner::serialize(std::ostream& out) const {
-  out.write(kMagic.data(), kMagic.size());
-  util::write_u16(out, kStreamVersion);
-  util::write_u64(out, index_.size());
+void AssociationMiner::serialize(std::vector<std::uint8_t>& out) const {
+  out.insert(out.end(), kMagic.begin(), kMagic.end());
+  util::put_u16(out, kStreamVersion);
+  util::put_u64(out, index_.size());
   // LRU-to-MRU so the reader's push_front replays the recency order.
   for (std::uint32_t slot = lru_.back(); slot != util::LruList::npos;
        slot = lru_.prev(slot)) {
     const Row& row = rows_[slot];
-    util::write_u64(out, row.source);
-    util::write_u32(out, row.occurrences);
-    util::write_u32(out, row.size);
+    util::put_u64(out, row.source);
+    util::put_u32(out, row.occurrences);
+    util::put_u32(out, row.size);
     const Association* a = row_slice(slot);
     for (std::uint32_t i = 0; i < row.size; ++i) {
-      util::write_u64(out, a[i].block);
-      util::write_u32(out, a[i].support);
-      util::write_u32(out, a[i].min_gap);
+      util::put_u64(out, a[i].block);
+      util::put_u32(out, a[i].support);
+      util::put_u32(out, a[i].min_gap);
     }
   }
 }
 
-AssociationMiner AssociationMiner::deserialize(std::istream& in,
+AssociationMiner AssociationMiner::deserialize(util::ByteReader& in,
                                                AssocConfig config) {
-  std::array<char, 4> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) {
+  if (!in.read_magic(kMagic)) {
     corrupt("bad magic");
   }
-  if (util::read_u16(in) != kStreamVersion) {
+  if (in.read_u16() != kStreamVersion) {
     corrupt("unsupported version");
   }
   AssociationMiner miner(config);
-  const std::uint64_t row_count = util::read_u64(in);
-  if (!in || row_count > config.max_rows) {
+  const std::uint64_t row_count = in.read_u64();
+  if (!in.ok() || row_count > config.max_rows) {
     corrupt("row count exceeds the configured bound");
   }
+  if (row_count > in.remaining() / kRowHeaderBytes) {
+    corrupt("row count exceeds the bytes present");
+  }
   for (std::uint64_t r = 0; r < row_count; ++r) {
-    const trace::BlockId source = util::read_u64(in);
-    const std::uint32_t occurrences = util::read_u32(in);
-    const std::uint32_t size = util::read_u32(in);
-    if (!in) {
+    const trace::BlockId source = in.read_u64();
+    const std::uint32_t occurrences = in.read_u32();
+    const std::uint32_t size = in.read_u32();
+    if (!in.ok()) {
       corrupt("truncated row header");
     }
     if (occurrences == 0) {
@@ -248,14 +250,17 @@ AssociationMiner AssociationMiner::deserialize(std::istream& in,
     row.occurrences = occurrences;
     Association* a = miner.row_slice(slot);
     for (std::uint32_t i = 0; i < size; ++i) {
-      const trace::BlockId partner = util::read_u64(in);
-      const std::uint32_t support = util::read_u32(in);
-      const std::uint32_t gap = util::read_u32(in);
-      if (!in) {
+      const trace::BlockId partner = in.read_u64();
+      const std::uint32_t support = in.read_u32();
+      const std::uint32_t gap = in.read_u32();
+      if (!in.ok()) {
         corrupt("truncated association");
       }
       if (support == 0 || support > occurrences) {
         corrupt("association support outside (0, occurrences]");
+      }
+      if (partner == source) {
+        corrupt("self-association");
       }
       if (gap < 1 || gap > config.lookahead) {
         corrupt("association gap outside the lookahead");

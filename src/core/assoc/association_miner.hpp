@@ -23,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "core/costben/candidate.hpp"
 #include "trace/record.hpp"
+#include "util/binary_io.hpp"
 #include "util/flat_map.hpp"
 #include "util/lru_list.hpp"
 
@@ -97,11 +97,12 @@ class AssociationMiner {
   /// "PFAS" v1: rows in LRU-to-MRU order so a round trip preserves the
   /// eviction order exactly.  The circular window is warm-up state and
   /// intentionally not persisted.
-  void serialize(std::ostream& out) const;
-  /// Rebuilds a miner from `in` under `config`'s bounds; throws
-  /// std::runtime_error ("association stream: ...") on malformed input
-  /// or rows exceeding the configured bounds.
-  static AssociationMiner deserialize(std::istream& in, AssocConfig config);
+  void serialize(std::vector<std::uint8_t>& out) const;
+  /// Reads one serialize() image from `in` under `config`'s bounds
+  /// (bytes after it are the caller's); throws std::runtime_error
+  /// ("association stream: ...") on malformed input, on rows exceeding the
+  /// configured bounds, or on a row count the bytes left cannot hold.
+  static AssociationMiner deserialize(util::ByteReader& in, AssocConfig config);
 
   /// SIM_AUDIT sweep: index/rows/LRU/free-list consistency, per-row
   /// support ordering, gap bounds and support <= occurrence invariants

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "util/assert.hpp"
@@ -16,6 +14,9 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'P', 'F', 'M', 'K'};
 constexpr std::uint16_t kStreamVersion = 1;
+/// Smallest possible row record (an empty row); bounds a row count by
+/// the bytes present.
+constexpr std::size_t kRowHeaderBytes = 8 + 4;
 
 [[noreturn]] void corrupt(const char* what) {
   throw std::runtime_error(std::string("delta-markov stream: ") + what);
@@ -225,42 +226,44 @@ std::size_t DeltaMarkov::actual_memory_bytes() const noexcept {
                              sizeof(std::uint8_t));
 }
 
-void DeltaMarkov::serialize(std::ostream& out) const {
-  out.write(kMagic.data(), kMagic.size());
-  util::write_u16(out, kStreamVersion);
-  util::write_u64(out, index_.size());
+void DeltaMarkov::serialize(std::vector<std::uint8_t>& out) const {
+  out.insert(out.end(), kMagic.begin(), kMagic.end());
+  util::put_u16(out, kStreamVersion);
+  util::put_u64(out, index_.size());
   // LRU-to-MRU so the reader's push_front replays the recency order.
   for (std::uint32_t slot = lru_.back(); slot != util::LruList::npos;
        slot = lru_.prev(slot)) {
     const Row& row = rows_[slot];
-    util::write_i64(out, row.context);
-    util::write_u32(out, row.size);
+    util::put_i64(out, row.context);
+    util::put_u32(out, row.size);
     const Transition* t = row_slice(slot);
     for (std::uint32_t i = 0; i < row.size; ++i) {
-      util::write_i64(out, t[i].delta);
-      util::write_u32(out, t[i].count);
+      util::put_i64(out, t[i].delta);
+      util::put_u32(out, t[i].count);
     }
   }
 }
 
-DeltaMarkov DeltaMarkov::deserialize(std::istream& in, MarkovConfig config) {
-  std::array<char, 4> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) {
+DeltaMarkov DeltaMarkov::deserialize(util::ByteReader& in,
+                                     MarkovConfig config) {
+  if (!in.read_magic(kMagic)) {
     corrupt("bad magic");
   }
-  if (util::read_u16(in) != kStreamVersion) {
+  if (in.read_u16() != kStreamVersion) {
     corrupt("unsupported version");
   }
   DeltaMarkov model(config);
-  const std::uint64_t row_count = util::read_u64(in);
-  if (!in || row_count > config.max_contexts) {
+  const std::uint64_t row_count = in.read_u64();
+  if (!in.ok() || row_count > config.max_contexts) {
     corrupt("row count exceeds the configured context bound");
   }
+  if (row_count > in.remaining() / kRowHeaderBytes) {
+    corrupt("row count exceeds the bytes present");
+  }
   for (std::uint64_t r = 0; r < row_count; ++r) {
-    const std::int64_t context = util::read_i64(in);
-    const std::uint32_t size = util::read_u32(in);
-    if (!in) {
+    const std::int64_t context = in.read_i64();
+    const std::uint32_t size = in.read_u32();
+    if (!in.ok()) {
       corrupt("truncated row header");
     }
     if (size > config.row_width) {
@@ -273,9 +276,9 @@ DeltaMarkov DeltaMarkov::deserialize(std::istream& in, MarkovConfig config) {
     Row& row = model.rows_[slot];
     Transition* t = model.row_slice(slot);
     for (std::uint32_t i = 0; i < size; ++i) {
-      const std::int64_t delta = util::read_i64(in);
-      const std::uint32_t count = util::read_u32(in);
-      if (!in) {
+      const std::int64_t delta = in.read_i64();
+      const std::uint32_t count = in.read_u32();
+      if (!in.ok()) {
         corrupt("truncated transition");
       }
       if (count == 0) {

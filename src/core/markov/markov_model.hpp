@@ -23,11 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "core/costben/candidate.hpp"
 #include "trace/record.hpp"
+#include "util/binary_io.hpp"
 #include "util/flat_map.hpp"
 #include "util/lru_list.hpp"
 
@@ -92,11 +92,12 @@ class DeltaMarkov {
   /// "PFMK" v1: rows in LRU-to-MRU order so a round trip preserves the
   /// eviction order exactly.  The transient parse position (previous
   /// block / delta) is warm-up state and intentionally not persisted.
-  void serialize(std::ostream& out) const;
-  /// Rebuilds a model from `in` under `config`'s bounds; throws
-  /// std::runtime_error ("delta-markov stream: ...") on malformed input
-  /// or rows exceeding the configured bounds.
-  static DeltaMarkov deserialize(std::istream& in, MarkovConfig config);
+  void serialize(std::vector<std::uint8_t>& out) const;
+  /// Reads one serialize() image from `in` under `config`'s bounds
+  /// (bytes after it are the caller's); throws std::runtime_error
+  /// ("delta-markov stream: ...") on malformed input, on rows exceeding the
+  /// configured bounds, or on a row count the bytes left cannot hold.
+  static DeltaMarkov deserialize(util::ByteReader& in, MarkovConfig config);
 
   /// SIM_AUDIT sweep: index/rows/LRU/free-list consistency, per-row
   /// count ordering and totals (no-op unless PFP_AUDIT_ENABLED).

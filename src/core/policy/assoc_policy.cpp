@@ -48,11 +48,12 @@ std::uint32_t AssocCostBenefit::predictor_state_tag() const {
   return kPredictorAssoc;
 }
 
-void AssocCostBenefit::save_predictor_state(std::ostream& out) const {
+void AssocCostBenefit::save_predictor_state(
+    std::vector<std::uint8_t>& out) const {
   miner_.serialize(out);
 }
 
-bool AssocCostBenefit::load_predictor_state(std::istream& in) {
+bool AssocCostBenefit::load_predictor_state(util::ByteReader& in) {
   miner_ = assoc::AssociationMiner::deserialize(in, config_.miner);
   return true;
 }

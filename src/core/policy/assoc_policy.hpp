@@ -42,8 +42,8 @@ class AssocCostBenefit final : public Prefetcher {
   void reclaim_for_demand(Context& ctx) override;
 
   [[nodiscard]] std::uint32_t predictor_state_tag() const override;
-  void save_predictor_state(std::ostream& out) const override;
-  bool load_predictor_state(std::istream& in) override;
+  void save_predictor_state(std::vector<std::uint8_t>& out) const override;
+  bool load_predictor_state(util::ByteReader& in) override;
   std::size_t predictions_into(
       std::vector<costben::PredictedBlock>& out) const override;
 

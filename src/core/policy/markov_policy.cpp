@@ -44,11 +44,12 @@ std::uint32_t MarkovCostBenefit::predictor_state_tag() const {
   return kPredictorMarkov;
 }
 
-void MarkovCostBenefit::save_predictor_state(std::ostream& out) const {
+void MarkovCostBenefit::save_predictor_state(
+    std::vector<std::uint8_t>& out) const {
   model_.serialize(out);
 }
 
-bool MarkovCostBenefit::load_predictor_state(std::istream& in) {
+bool MarkovCostBenefit::load_predictor_state(util::ByteReader& in) {
   model_ = markov::DeltaMarkov::deserialize(in, config_.model);
   return true;
 }

@@ -32,9 +32,10 @@ std::uint32_t Prefetcher::predictor_state_tag() const {
   return kPredictorNone;
 }
 
-void Prefetcher::save_predictor_state(std::ostream& /*out*/) const {}
+void Prefetcher::save_predictor_state(
+    std::vector<std::uint8_t>& /*out*/) const {}
 
-bool Prefetcher::load_predictor_state(std::istream& /*in*/) {
+bool Prefetcher::load_predictor_state(util::ByteReader& /*in*/) {
   return false;
 }
 

@@ -18,12 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "core/costben/candidate.hpp"
 #include "core/policy/context.hpp"
+#include "util/binary_io.hpp"
 
 namespace pfp::core::policy {
 
@@ -85,16 +85,17 @@ class Prefetcher {
   /// the tag next to the opaque blob.
   [[nodiscard]] virtual std::uint32_t predictor_state_tag() const;
 
-  /// Serializes the predictor state as an opaque, versioned stream (each
-  /// family writes its own magic + version header).  Only meaningful when
-  /// predictor_state_tag() != kPredictorNone; the default implementation
-  /// writes nothing.
-  virtual void save_predictor_state(std::ostream& out) const;
+  /// Appends the predictor state to `out` as an opaque, versioned image
+  /// (each family writes its own magic + version header).  Only
+  /// meaningful when predictor_state_tag() != kPredictorNone; the default
+  /// implementation writes nothing.
+  virtual void save_predictor_state(std::vector<std::uint8_t>& out) const;
 
-  /// Restores state written by save_predictor_state() of the same family.
-  /// Throws std::runtime_error on malformed input; returns false when the
-  /// policy keeps no predictor state to restore into.
-  virtual bool load_predictor_state(std::istream& in);
+  /// Reads one image written by save_predictor_state() of the same
+  /// family from `in`; the caller checks that nothing trails it.  Throws
+  /// std::runtime_error on malformed input; returns false when the policy
+  /// keeps no predictor state to restore into.
+  virtual bool load_predictor_state(util::ByteReader& in);
 
   /// Appends the predictor's current candidates — what it would consider
   /// prefetching right now — to `out` in the controller's generic

@@ -13,11 +13,11 @@ std::uint32_t TreeInstrumentedPrefetcher::predictor_state_tag() const {
 }
 
 void TreeInstrumentedPrefetcher::save_predictor_state(
-    std::ostream& out) const {
+    std::vector<std::uint8_t>& out) const {
   tree_.serialize(out);
 }
 
-bool TreeInstrumentedPrefetcher::load_predictor_state(std::istream& in) {
+bool TreeInstrumentedPrefetcher::load_predictor_state(util::ByteReader& in) {
   // Move-assignment keeps the incoming tree's uid, so epoch-keyed
   // enumerator caches can never confuse the restored structure with the
   // one it replaces (see PrefetchTree's uid semantics).

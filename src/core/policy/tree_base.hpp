@@ -23,8 +23,8 @@ class TreeInstrumentedPrefetcher : public Prefetcher {
   /// bound on load comes from the live policy's configuration, not the
   /// stream (it stores structure only).
   [[nodiscard]] std::uint32_t predictor_state_tag() const override;
-  void save_predictor_state(std::ostream& out) const override;
-  bool load_predictor_state(std::istream& in) override;
+  void save_predictor_state(std::vector<std::uint8_t>& out) const override;
+  bool load_predictor_state(util::ByteReader& in) override;
   std::size_t predictions_into(
       std::vector<costben::PredictedBlock>& out) const override;
 

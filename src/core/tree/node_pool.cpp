@@ -1,6 +1,7 @@
 #include "core/tree/node_pool.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.hpp"
 #include "util/audit.hpp"
@@ -58,14 +59,37 @@ void NodePool::grow_run(NodeId id) {
   node.child_capacity = new_capacity;
 }
 
+void NodePool::reserve(std::size_t nodes) {
+  // The planes get the power-of-two capacity one-at-a-time growth would
+  // have reached, so the first node created after a rebuild does not copy
+  // them (reserved pages stay unresident until they are used).
+  hot_.reserve(std::bit_ceil(nodes));
+  cold_.reserve(std::bit_ceil(nodes));
+  edges_.reserve(nodes);
+}
+
+void NodePool::reserve_children(NodeId id, std::uint32_t count) {
+  PFP_REQUIRE(hot_[id].child_capacity == 0);
+  if (count == 0) {
+    return;
+  }
+  const std::uint32_t capacity =
+      std::bit_ceil(std::max(count, kMinRunCapacity));
+  hot_[id].child_begin = alloc_run(run_class(capacity));
+  hot_[id].child_capacity = capacity;
+}
+
 NodeId NodePool::create(NodeId parent, BlockId block) {
-  NodeId id;
+  const NodeId id =
+      free_.empty() ? static_cast<NodeId>(hot_.size()) : free_.back();
+  PFP_REQUIRE(id != kNoNode);
+  if (parent != kNoNode &&
+      !edges_.emplace(EdgeKey{parent, block}, id).second) {
+    return kNoNode;
+  }
   if (!free_.empty()) {
-    id = free_.back();
     free_.pop_back();
   } else {
-    id = static_cast<NodeId>(hot_.size());
-    PFP_REQUIRE(id != kNoNode);
     hot_.emplace_back();
     cold_.emplace_back();
   }
@@ -84,7 +108,6 @@ NodeId NodePool::create(NodeId parent, BlockId block) {
     HotNode& p = hot_[parent];
     arena_[p.child_begin + p.child_count] = id;
     ++p.child_count;
-    edges_.emplace(EdgeKey{parent, block}, id);
   }
   ++live_;
   // The parent's child run grew; the new node itself gets a stamp

@@ -90,9 +90,20 @@ class NodePool {
   NodePool();
 
   /// Allocates a node for `block` under `parent` (kNoNode for the root)
-  /// with initial weight 1, and registers the edge.  May move the
+  /// with initial weight 1, and registers the edge.  Returns kNoNode,
+  /// allocating nothing, if `parent` already has a child labelled
+  /// `block` — the edge-map insert is the duplicate probe.  May move the
   /// parent's child run: spans from children() are invalidated.
   NodeId create(NodeId parent, BlockId block);
+
+  /// Pre-sizes both planes and the edge map for at least `nodes` live
+  /// nodes, so a bulk rebuild (deserialization) never regrows them.
+  void reserve(std::size_t nodes);
+
+  /// Gives a node that has no child run yet one sized for `count`
+  /// children (the next power of two), so a rebuild that knows each
+  /// fanout up front never regrows a run.
+  void reserve_children(NodeId id, std::uint32_t count);
 
   /// Child of `parent` labelled `block`, or kNoNode.
   [[nodiscard]] NodeId find_child(NodeId parent, BlockId block) const;

@@ -149,6 +149,7 @@ AccessInfo PrefetchTree::access(BlockId block) {
   const bool parent_was_leaf =
       current_ != root_ && pool_.child_count(current_) == 0;
   const NodeId added = pool_.create(current_, block);
+  PFP_DASSERT(added != kNoNode);  // find_child just missed this edge
   if (leaf_lru_.capacity() <= added) {
     leaf_lru_.resize(pool_.id_bound() * 2 + 16);
   }

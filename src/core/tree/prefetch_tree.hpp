@@ -20,11 +20,12 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
+#include <vector>
 
 #include "core/tree/node_pool.hpp"
 #include "util/assert.hpp"
+#include "util/binary_io.hpp"
 #include "util/lru_list.hpp"
 
 namespace pfp::core::tree {
@@ -140,16 +141,18 @@ class PrefetchTree {
   /// SIM_AUDIT >= 1.
   void audit() const;
 
-  /// Persists the tree's structure (topology, blocks, weights) as a
-  /// compact binary stream, so a trained predictor can warm-start a later
+  /// Appends the tree's structure (topology, blocks, weights) to `out` as
+  /// a compact "PFTR" image, so a trained predictor can warm-start a later
   /// run.  Parse position and last-visited-child pointers are transient
   /// and not persisted.
-  void serialize(std::ostream& out) const;
+  void serialize(std::vector<std::uint8_t>& out) const;
 
-  /// Reconstructs a tree written by serialize().  The node bound of
-  /// `config` governs future growth only (loading never evicts).  Throws
-  /// std::runtime_error on malformed input.
-  static PrefetchTree deserialize(std::istream& in,
+  /// Reads one serialize() image from `in` (bytes after it are the
+  /// caller's).  The node bound of `config` governs future growth only
+  /// (loading never evicts).  Throws std::runtime_error on malformed
+  /// input, before sizing anything from a count the bytes left in `in`
+  /// cannot hold.
+  static PrefetchTree deserialize(util::ByteReader& in,
                                   TreeConfig config = TreeConfig{});
 
  private:
@@ -157,10 +160,12 @@ class PrefetchTree {
 
   static std::uint64_t next_uid() noexcept;
 
-  /// Deserialization helper: attach a child with a known weight, keeping
-  /// the leaf-LRU bookkeeping consistent.  Children must be restored in
-  /// descending-weight order (the serialized order).
-  NodeId restore_child(NodeId parent, BlockId block, std::uint64_t weight);
+  /// Deserialization helper: attach a child with a known weight and
+  /// stored child count (which sizes its child run and decides leaf-LRU
+  /// membership).  Children must be restored in descending-weight order
+  /// (the serialized order).  Returns kNoNode on a duplicate edge.
+  NodeId restore_child(NodeId parent, BlockId block, std::uint64_t weight,
+                       std::uint32_t child_count);
   void touch(NodeId id);
   void on_becomes_interior(NodeId id);
   void evict_one_leaf();

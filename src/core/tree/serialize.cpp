@@ -5,13 +5,21 @@
 // every other node (block u64, weight u64, child count u32).  Children
 // appear in the stored descending-weight order, so reconstruction keeps
 // the sorted-children invariant by plain appends.
+//
+// The rebuild sizes everything once: the node count (checked against the
+// bytes present first) reserves both pool planes, the edge map and the
+// leaf LRU, and each node's stored child count sizes its child run.  The
+// duplicate-edge check is the edge-map insert itself.
+#include <algorithm>
 #include <array>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/tree/prefetch_tree.hpp"
+#include "util/assert.hpp"
+#include "util/binary_io.hpp"
+#include "util/prefetch.hpp"
 
 namespace pfp::core::tree {
 
@@ -19,51 +27,9 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'P', 'F', 'T', 'R'};
 constexpr std::uint16_t kVersion = 1;
-
-void write_u16(std::ostream& out, std::uint16_t v) {
-  out.put(static_cast<char>(v & 0xff));
-  out.put(static_cast<char>((v >> 8) & 0xff));
-}
-
-void write_u32(std::ostream& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.put(static_cast<char>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.put(static_cast<char>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-std::uint16_t read_u16(std::istream& in) {
-  std::array<unsigned char, 2> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  std::array<unsigned char, 4> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | b[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::array<unsigned char, 8> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | b[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
+constexpr std::size_t kHeaderBytes = 4 + 2 + 8;
+constexpr std::size_t kRootBytes = 8 + 4;
+constexpr std::size_t kNodeBytes = 8 + 8 + 4;
 
 [[noreturn]] void corrupt(const char* what) {
   throw std::runtime_error(std::string("prefetch-tree stream: ") + what);
@@ -71,69 +37,108 @@ std::uint64_t read_u64(std::istream& in) {
 
 }  // namespace
 
-void PrefetchTree::serialize(std::ostream& out) const {
-  out.write(kMagic.data(), kMagic.size());
-  write_u16(out, kVersion);
-  write_u64(out, node_count());
+void PrefetchTree::serialize(std::vector<std::uint8_t>& out) const {
+  // The image size is exact, so the buffer is sized once and filled
+  // through a cursor.
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderBytes + kRootBytes + kNodeBytes * (node_count() - 1));
+  std::uint8_t* p = std::copy(kMagic.begin(), kMagic.end(), out.data() + at);
+  p = util::store_le(p, kVersion);
+  p = util::store_le<std::uint64_t>(p, node_count());
+  p = util::store_le(p, pool_.weight(root()));
+  p = util::store_le(p, pool_.child_count(root()));
 
-  // Preorder via explicit stack (trees can be deep on long traces).
-  write_u64(out, node(root()).weight);
-  write_u32(out, static_cast<std::uint32_t>(children(root()).size()));
-  std::vector<NodeId> stack(children(root()).rbegin(),
-                            children(root()).rend());
+  // Preorder via explicit stack (trees can be deep on long traces).  The
+  // walk order is unrelated to id order, so every record would otherwise
+  // be a miss: a node's hot record is prefetched when it is pushed, and
+  // the next node's child run once its record has had time to arrive.
+  const HotNode* hot = pool_.hot_data();
+  const NodeId* arena = pool_.child_arena();
+  std::vector<NodeId> stack;
+  const auto push_children = [&](const HotNode& node) {
+    for (std::uint32_t i = node.child_count; i > 0; --i) {
+      const NodeId child = arena[node.child_begin + i - 1];
+      util::prefetch_read(&hot[child]);
+      stack.push_back(child);
+    }
+  };
+  push_children(hot[root()]);
   while (!stack.empty()) {
-    const NodeId id = stack.back();
+    const HotNode& node = hot[stack.back()];
     stack.pop_back();
-    write_u64(out, pool_.block(id));
-    write_u64(out, pool_.weight(id));
-    const auto kids = pool_.children(id);
-    write_u32(out, static_cast<std::uint32_t>(kids.size()));
-    stack.insert(stack.end(), kids.rbegin(), kids.rend());
+    p = util::store_le(p, node.block);
+    p = util::store_le(p, node.weight);
+    p = util::store_le(p, node.child_count);
+    push_children(node);
+    if (!stack.empty()) {
+      util::prefetch_read(arena + hot[stack.back()].child_begin);
+    }
   }
+  PFP_DASSERT(p == out.data() + out.size());
 }
 
 NodeId PrefetchTree::restore_child(NodeId parent, BlockId block,
-                                   std::uint64_t weight) {
-  const bool parent_was_leaf =
-      parent != root_ && pool_.child_count(parent) == 0;
+                                   std::uint64_t weight,
+                                   std::uint32_t child_count) {
   const NodeId added = pool_.create(parent, block);
+  if (added == kNoNode) {
+    return kNoNode;
+  }
   pool_.hot(added).weight = weight;
-  if (leaf_lru_.capacity() <= added) {
-    leaf_lru_.resize(pool_.id_bound() * 2 + 16);
+  if (child_count > 0) {
+    pool_.reserve_children(added, child_count);
+  } else {
+    // Only stored leaves enter the LRU.  Pushing them in preorder gives
+    // the order the parse-time push-then-unlink-on-first-child produces.
+    PFP_DASSERT(added < leaf_lru_.capacity());
+    leaf_lru_.push_front(added);
   }
-  if (parent_was_leaf) {
-    on_becomes_interior(parent);
-  }
-  leaf_lru_.push_front(added);
   return added;
 }
 
-PrefetchTree PrefetchTree::deserialize(std::istream& in, TreeConfig config) {
-  std::array<char, 4> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) {
+PrefetchTree PrefetchTree::deserialize(util::ByteReader& in,
+                                       TreeConfig config) {
+  if (!in.read_magic(kMagic)) {
     corrupt("bad magic");
   }
-  if (read_u16(in) != kVersion) {
+  if (in.read_u16() != kVersion) {
     corrupt("unsupported version");
   }
-  const std::uint64_t expected_nodes = read_u64(in);
-  if (!in || expected_nodes == 0) {
+  const std::uint64_t expected_nodes = in.read_u64();
+  if (!in.ok() || expected_nodes == 0) {
     corrupt("truncated header");
+  }
+  // Every non-root node is one kNodeBytes record, so a count the bytes
+  // cannot hold is garbage — rejected before anything is sized from it.
+  if (expected_nodes - 1 > in.remaining() / kNodeBytes) {
+    corrupt("node count exceeds the bytes present");
   }
 
   PrefetchTree tree(config);
-  tree.pool_.hot(tree.root_).weight = read_u64(in);
-  const std::uint32_t root_children = read_u32(in);
+  tree.pool_.reserve(expected_nodes);
+  // The same headroom access() grows the LRU to, so the first nodes the
+  // parse adds after a restore do not regrow it.
+  tree.leaf_lru_.resize(expected_nodes * 2 + 16);
+  tree.pool_.hot(tree.root_).weight = in.read_u64();
+  const std::uint32_t root_children = in.read_u32();
+  // Stored child counts must add up to at most the node count; this also
+  // bounds the child runs reserved from them.
+  std::uint64_t claimed = root_children;
+  if (claimed > expected_nodes - 1) {
+    corrupt("child counts exceed the node count");
+  }
+  tree.pool_.reserve_children(tree.root_, root_children);
 
   struct Pending {
     NodeId parent;
     std::uint32_t remaining;
     std::uint64_t last_child_weight;  // descending-order validation
+    std::uint64_t weight_budget;      // children's weights sum <= parent's
   };
   std::vector<Pending> stack;
   if (root_children > 0) {
-    stack.push_back(Pending{tree.root_, root_children, ~0ULL});
+    stack.push_back(Pending{tree.root_, root_children, ~0ULL,
+                            tree.pool_.weight(tree.root_)});
   }
   while (!stack.empty()) {
     Pending& top = stack.back();
@@ -142,25 +147,30 @@ PrefetchTree PrefetchTree::deserialize(std::istream& in, TreeConfig config) {
       continue;
     }
     --top.remaining;
-    const BlockId block = read_u64(in);
-    const std::uint64_t weight = read_u64(in);
-    const std::uint32_t child_count = read_u32(in);
-    if (!in) {
+    const BlockId block = in.read_u64();
+    const std::uint64_t weight = in.read_u64();
+    const std::uint32_t child_count = in.read_u32();
+    if (!in.ok()) {
       corrupt("truncated body");
     }
     if (weight == 0 || weight > top.last_child_weight ||
-        (top.parent != tree.root_ &&
-         weight > tree.pool_.weight(top.parent))) {
+        weight > top.weight_budget) {
       corrupt("weight invariant violated");
     }
-    if (tree.pool_.find_child(top.parent, block) != kNoNode) {
-      corrupt("duplicate edge");
+    claimed += child_count;
+    if (claimed > expected_nodes - 1) {
+      corrupt("child counts exceed the node count");
     }
     top.last_child_weight = weight;
+    top.weight_budget -= weight;
     const NodeId parent = top.parent;  // `top` may dangle after push_back
-    const NodeId added = tree.restore_child(parent, block, weight);
+    const NodeId added =
+        tree.restore_child(parent, block, weight, child_count);
+    if (added == kNoNode) {
+      corrupt("duplicate edge");
+    }
     if (child_count > 0) {
-      stack.push_back(Pending{added, child_count, ~0ULL});
+      stack.push_back(Pending{added, child_count, ~0ULL, weight});
     }
   }
   if (tree.node_count() != expected_nodes) {

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <typeinfo>
 
 #include "core/policy/dispatch.hpp"
 #include "util/assert.hpp"
+#include "util/binary_io.hpp"
 
 namespace pfp::engine {
 
@@ -48,70 +46,13 @@ struct Virtual {
   }
 };
 
-// --- snapshot stream helpers (little-endian, like core/tree/serialize) --
+// --- snapshot image ("PFEG") -------------------------------------------
 
 constexpr std::array<char, 4> kMagic = {'P', 'F', 'E', 'G'};
-// v1: residency + metrics + a tree-or-nothing predictor flag byte.
 // v2: residency + metrics + a predictor FourCC tag and a length-prefixed
-//     opaque predictor blob (any policy family).  v1 images still load.
+//     opaque predictor blob (any policy family).  v1 (a tree-or-nothing
+//     flag byte) is no longer read: no v1 image exists outside history.
 constexpr std::uint16_t kVersion = 2;
-// Backstop against garbage length prefixes: no predictor state in this
-// simulator approaches 1 GiB, so anything larger is a corrupt stream,
-// not a big model — reject before trying to allocate it.
-constexpr std::uint64_t kMaxPredictorBlobBytes = 1ull << 30;
-
-void write_u16(std::ostream& out, std::uint16_t v) {
-  out.put(static_cast<char>(v & 0xff));
-  out.put(static_cast<char>((v >> 8) & 0xff));
-}
-
-void write_u32(std::ostream& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.put(static_cast<char>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.put(static_cast<char>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-void write_f64(std::ostream& out, double v) {
-  write_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint16_t read_u16(std::istream& in) {
-  std::array<unsigned char, 2> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  std::array<unsigned char, 4> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | b[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::array<unsigned char, 8> b{};
-  in.read(reinterpret_cast<char*>(b.data()), b.size());
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | b[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
-double read_f64(std::istream& in) {
-  return std::bit_cast<double>(read_u64(in));
-}
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw std::runtime_error("engine snapshot stream: " + what);
@@ -404,123 +345,125 @@ void PrefetchEngine::run_trace(const trace::Trace& trace) {
   });
 }
 
-void PrefetchEngine::snapshot(std::ostream& out) const {
-  out.write(kMagic.data(), kMagic.size());
-  write_u16(out, kVersion);
-  write_u64(out, config_.cache_blocks);
+void PrefetchEngine::snapshot(std::vector<std::uint8_t>& out) const {
+  using util::put_f64;
+  using util::put_u32;
+  using util::put_u64;
+  out.insert(out.end(), kMagic.begin(), kMagic.end());
+  util::put_u16(out, kVersion);
+  put_u64(out, config_.cache_blocks);
 
-  write_u64(out, metrics_.accesses);
-  write_u64(out, metrics_.demand_hits);
-  write_u64(out, metrics_.prefetch_hits);
-  write_u64(out, metrics_.misses);
-  write_f64(out, metrics_.elapsed_ms);
-  write_f64(out, metrics_.stall_ms);
-  write_f64(out, metrics_.disk_queue_delay_ms);
-  write_u64(out, metrics_.disk_requests);
+  put_u64(out, metrics_.accesses);
+  put_u64(out, metrics_.demand_hits);
+  put_u64(out, metrics_.prefetch_hits);
+  put_u64(out, metrics_.misses);
+  put_f64(out, metrics_.elapsed_ms);
+  put_f64(out, metrics_.stall_ms);
+  put_f64(out, metrics_.disk_queue_delay_ms);
+  put_u64(out, metrics_.disk_requests);
 
   const auto& p = metrics_.policy;
-  write_u64(out, p.prefetches_issued);
-  write_u64(out, p.obl_prefetches_issued);
-  write_u64(out, p.tree_prefetches_issued);
-  write_f64(out, p.sum_prefetch_probability);
-  write_u64(out, p.candidates_chosen);
-  write_u64(out, p.candidates_already_cached);
-  write_u64(out, p.prefetch_ejections);
-  write_u64(out, p.demand_ejections);
-  write_u64(out, p.predictable);
-  write_u64(out, p.predictable_uncached);
-  write_u64(out, p.lvc_opportunities);
-  write_u64(out, p.lvc_followed);
-  write_u64(out, p.lvc_checks);
-  write_u64(out, p.lvc_cached);
-  write_u64(out, p.tree_nodes);
-  write_u64(out, p.tree_bytes);
+  put_u64(out, p.prefetches_issued);
+  put_u64(out, p.obl_prefetches_issued);
+  put_u64(out, p.tree_prefetches_issued);
+  put_f64(out, p.sum_prefetch_probability);
+  put_u64(out, p.candidates_chosen);
+  put_u64(out, p.candidates_already_cached);
+  put_u64(out, p.prefetch_ejections);
+  put_u64(out, p.demand_ejections);
+  put_u64(out, p.predictable);
+  put_u64(out, p.predictable_uncached);
+  put_u64(out, p.lvc_opportunities);
+  put_u64(out, p.lvc_followed);
+  put_u64(out, p.lvc_checks);
+  put_u64(out, p.lvc_cached);
+  put_u64(out, p.tree_nodes);
+  put_u64(out, p.tree_bytes);
 
   const auto demand_blocks = cache_.demand().blocks_lru_to_mru();
-  write_u64(out, demand_blocks.size());
+  put_u64(out, demand_blocks.size());
   for (const trace::BlockId block : demand_blocks) {
-    write_u64(out, block);
+    put_u64(out, block);
   }
 
   const auto prefetch_entries = cache_.prefetch().entries();
-  write_u64(out, prefetch_entries.size());
+  put_u64(out, prefetch_entries.size());
   for (const cache::PrefetchEntry& entry : prefetch_entries) {
-    write_u64(out, entry.block);
-    write_f64(out, entry.probability);
-    write_u32(out, entry.depth);
-    write_f64(out, entry.eject_cost);
-    out.put(entry.obl ? '\1' : '\0');
-    write_u64(out, entry.issued_period);
-    write_f64(out, entry.completion_ms);
+    put_u64(out, entry.block);
+    put_f64(out, entry.probability);
+    put_u32(out, entry.depth);
+    put_f64(out, entry.eject_cost);
+    util::put_u8(out, entry.obl ? 1 : 0);
+    put_u64(out, entry.issued_period);
+    put_f64(out, entry.completion_ms);
   }
 
   // Predictor state rides as an opaque, length-prefixed blob keyed by the
   // policy's FourCC tag — the engine never learns the family's format.
+  // The policy appends in place; the length is patched in afterwards.
   const std::uint32_t tag = policy_->predictor_state_tag();
-  write_u32(out, tag);
+  put_u32(out, tag);
   if (tag != core::policy::kPredictorNone) {
-    std::ostringstream blob;
-    policy_->save_predictor_state(blob);
-    const std::string bytes = std::move(blob).str();
-    write_u64(out, bytes.size());
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    const std::size_t length_at = out.size();
+    put_u64(out, 0);
+    policy_->save_predictor_state(out);
+    util::patch_le<std::uint64_t>(out, length_at,
+                                  out.size() - length_at - 8);
   }
 }
 
-void PrefetchEngine::restore(std::istream& in) {
+void PrefetchEngine::restore(std::span<const std::uint8_t> image) {
   if (metrics_.accesses != 0 || cache_.resident() != 0) {
     throw std::runtime_error(
         "engine snapshot restore requires a freshly constructed engine");
   }
 
-  std::array<char, 4> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) {
+  util::ByteReader in(image);
+  if (!in.read_magic(kMagic)) {
     corrupt("bad magic");
   }
-  const std::uint16_t version = read_u16(in);
-  if (version != 1 && version != 2) {
+  if (in.read_u16() != kVersion) {
     corrupt("unsupported version");
   }
-  if (read_u64(in) != config_.cache_blocks) {
+  if (in.read_u64() != config_.cache_blocks) {
     corrupt("cache_blocks mismatch with the configured engine");
   }
 
   Metrics restored;
-  restored.accesses = read_u64(in);
-  restored.demand_hits = read_u64(in);
-  restored.prefetch_hits = read_u64(in);
-  restored.misses = read_u64(in);
-  restored.elapsed_ms = read_f64(in);
-  restored.stall_ms = read_f64(in);
-  restored.disk_queue_delay_ms = read_f64(in);
-  restored.disk_requests = read_u64(in);
+  restored.accesses = in.read_u64();
+  restored.demand_hits = in.read_u64();
+  restored.prefetch_hits = in.read_u64();
+  restored.misses = in.read_u64();
+  restored.elapsed_ms = in.read_f64();
+  restored.stall_ms = in.read_f64();
+  restored.disk_queue_delay_ms = in.read_f64();
+  restored.disk_requests = in.read_u64();
 
   auto& p = restored.policy;
-  p.prefetches_issued = read_u64(in);
-  p.obl_prefetches_issued = read_u64(in);
-  p.tree_prefetches_issued = read_u64(in);
-  p.sum_prefetch_probability = read_f64(in);
-  p.candidates_chosen = read_u64(in);
-  p.candidates_already_cached = read_u64(in);
-  p.prefetch_ejections = read_u64(in);
-  p.demand_ejections = read_u64(in);
-  p.predictable = read_u64(in);
-  p.predictable_uncached = read_u64(in);
-  p.lvc_opportunities = read_u64(in);
-  p.lvc_followed = read_u64(in);
-  p.lvc_checks = read_u64(in);
-  p.lvc_cached = read_u64(in);
-  p.tree_nodes = read_u64(in);
-  p.tree_bytes = read_u64(in);
+  p.prefetches_issued = in.read_u64();
+  p.obl_prefetches_issued = in.read_u64();
+  p.tree_prefetches_issued = in.read_u64();
+  p.sum_prefetch_probability = in.read_f64();
+  p.candidates_chosen = in.read_u64();
+  p.candidates_already_cached = in.read_u64();
+  p.prefetch_ejections = in.read_u64();
+  p.demand_ejections = in.read_u64();
+  p.predictable = in.read_u64();
+  p.predictable_uncached = in.read_u64();
+  p.lvc_opportunities = in.read_u64();
+  p.lvc_followed = in.read_u64();
+  p.lvc_checks = in.read_u64();
+  p.lvc_cached = in.read_u64();
+  p.tree_nodes = in.read_u64();
+  p.tree_bytes = in.read_u64();
 
-  const std::uint64_t demand_count = read_u64(in);
-  if (!in || demand_count > config_.cache_blocks) {
+  const std::uint64_t demand_count = in.read_u64();
+  if (!in.ok() || demand_count > config_.cache_blocks) {
     corrupt("demand residency exceeds the buffer pool");
   }
   for (std::uint64_t i = 0; i < demand_count; ++i) {
-    const trace::BlockId block = read_u64(in);
-    if (!in) {
+    const trace::BlockId block = in.read_u64();
+    if (!in.ok()) {
       corrupt("truncated demand residency list");
     }
     if (cache_.contains(block)) {
@@ -529,21 +472,24 @@ void PrefetchEngine::restore(std::istream& in) {
     cache_.admit_demand(block);
   }
 
-  const std::uint64_t prefetch_count = read_u64(in);
-  if (!in || demand_count + prefetch_count > config_.cache_blocks) {
+  const std::uint64_t prefetch_count = in.read_u64();
+  if (!in.ok() || demand_count + prefetch_count > config_.cache_blocks) {
     corrupt("residency exceeds the buffer pool");
   }
   for (std::uint64_t i = 0; i < prefetch_count; ++i) {
     cache::PrefetchEntry entry;
-    entry.block = read_u64(in);
-    entry.probability = read_f64(in);
-    entry.depth = read_u32(in);
-    entry.eject_cost = read_f64(in);
-    entry.obl = in.get() == '\1';
-    entry.issued_period = read_u64(in);
-    entry.completion_ms = read_f64(in);
-    if (!in) {
+    entry.block = in.read_u64();
+    entry.probability = in.read_f64();
+    entry.depth = in.read_u32();
+    entry.eject_cost = in.read_f64();
+    entry.obl = in.read_u8() == 1;
+    entry.issued_period = in.read_u64();
+    entry.completion_ms = in.read_f64();
+    if (!in.ok()) {
       corrupt("truncated prefetch residency list");
+    }
+    if (!(entry.probability >= 0.0 && entry.probability <= 1.0)) {
+      corrupt("prefetch probability outside [0, 1]");
     }
     if (cache_.contains(entry.block)) {
       corrupt("duplicate block in prefetch residency list");
@@ -551,53 +497,40 @@ void PrefetchEngine::restore(std::istream& in) {
     cache_.admit_prefetch(entry);
   }
 
-  if (version == 1) {
-    // v1 images could only carry LZ-tree state: a flag byte followed by
-    // the raw PFTR stream, exactly the bytes a tree policy's
-    // load_predictor_state consumes today.
-    const int tree_flag = in.get();
-    if (tree_flag != '\0' && tree_flag != '\1') {
-      corrupt("truncated predictor-tree flag");
+  const std::uint32_t tag = in.read_u32();
+  if (!in.ok()) {
+    corrupt("truncated predictor tag");
+  }
+  const std::uint32_t live_tag = policy_->predictor_state_tag();
+  if (tag != live_tag) {
+    corrupt("predictor kind mismatch: snapshot carries " +
+            core::policy::predictor_tag_name(tag) +
+            " state but the configured policy keeps " +
+            core::policy::predictor_tag_name(live_tag));
+  }
+  if (tag != core::policy::kPredictorNone) {
+    const std::uint64_t blob_bytes = in.read_u64();
+    if (!in.ok()) {
+      corrupt("truncated predictor blob length");
     }
-    if (tree_flag == '\1') {
-      if (policy_->predictor_state_tag() != core::policy::kPredictorTree) {
-        corrupt("snapshot carries a predictor tree but the configured "
-                "policy has none");
-      }
-      if (!policy_->load_predictor_state(in) || !in) {
-        corrupt("predictor-tree stream rejected by the policy");
-      }
+    // A length longer than the bytes in hand is a truncated image or a
+    // garbage prefix; either way nothing is sized from it.
+    if (blob_bytes > in.remaining()) {
+      corrupt("implausible predictor blob length " +
+              std::to_string(blob_bytes) + ": only " +
+              std::to_string(in.remaining()) +
+              " bytes follow (truncated predictor blob?)");
     }
-  } else {
-    const std::uint32_t tag = read_u32(in);
-    if (!in) {
-      corrupt("truncated predictor tag");
+    util::ByteReader blob(in.read_bytes(static_cast<std::size_t>(blob_bytes)));
+    if (!policy_->load_predictor_state(blob)) {
+      corrupt("predictor blob rejected by the policy");
     }
-    const std::uint32_t live_tag = policy_->predictor_state_tag();
-    if (tag != live_tag) {
-      corrupt("predictor kind mismatch: snapshot carries " +
-              core::policy::predictor_tag_name(tag) +
-              " state but the configured policy keeps " +
-              core::policy::predictor_tag_name(live_tag));
+    if (!blob.exhausted()) {
+      corrupt("predictor blob has trailing bytes");
     }
-    if (tag != core::policy::kPredictorNone) {
-      const std::uint64_t blob_bytes = read_u64(in);
-      if (!in || blob_bytes > kMaxPredictorBlobBytes) {
-        corrupt("implausible predictor blob length");
-      }
-      std::string bytes(static_cast<std::size_t>(blob_bytes), '\0');
-      in.read(bytes.data(), static_cast<std::streamsize>(blob_bytes));
-      if (!in) {
-        corrupt("truncated predictor blob");
-      }
-      std::istringstream blob(std::move(bytes));
-      if (!policy_->load_predictor_state(blob)) {
-        corrupt("predictor blob rejected by the policy");
-      }
-      if (blob.peek() != std::istream::traits_type::eof()) {
-        corrupt("predictor blob has trailing bytes");
-      }
-    }
+  }
+  if (!in.exhausted()) {
+    corrupt("trailing bytes after the image");
   }
 
   metrics_ = restored;

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "cache/buffer_cache.hpp"
 #include "cache/disk_model.hpp"
@@ -103,16 +104,19 @@ class PrefetchEngine {
     return config_;
   }
 
-  /// Persists the engine's durable state as a compact binary stream: the
-  /// trained predictor tree (via core/tree/serialize), both cache
-  /// residency sets, and the accumulated metrics.  Estimator EWMAs and
-  /// in-flight disk state are transient and re-warm after restore.
-  void snapshot(std::ostream& out) const;
+  /// Appends the engine's durable state to `out` as one "PFEG" v2 image:
+  /// both cache residency sets, the accumulated metrics and the policy's
+  /// predictor state as a tagged, length-prefixed blob written in place.
+  /// Estimator EWMAs and in-flight disk state are transient and re-warm
+  /// after restore.
+  void snapshot(std::vector<std::uint8_t>& out) const;
 
-  /// Rebuilds snapshot() state into this engine.  The engine must be
-  /// freshly constructed with a matching cache size and policy shape;
-  /// throws std::runtime_error on malformed input or mismatch.
-  void restore(std::istream& in);
+  /// Rebuilds snapshot() state from exactly one image (trailing bytes are
+  /// rejected).  The engine must be freshly constructed with a matching
+  /// cache size and policy shape; throws std::runtime_error on malformed
+  /// input or mismatch, before sizing anything from a count or length the
+  /// image's bytes cannot hold.
+  void restore(std::span<const std::uint8_t> image);
 
   /// Live observability snapshot: lock-free counters/gauges, per-phase
   /// latency histograms and trace-ring occupancy.  Safe to call from any

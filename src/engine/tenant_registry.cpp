@@ -1,5 +1,7 @@
 #include "engine/tenant_registry.hpp"
 
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -95,7 +97,8 @@ double Tenant::queue_pressure() const {
   return worst;
 }
 
-TenantStatus Tenant::snapshot(std::ostream& out, std::string* detail) {
+TenantStatus Tenant::snapshot(std::vector<std::uint8_t>& out,
+                              std::string* detail) {
   if (sharded_) {
     if (detail != nullptr) {
       *detail = "sharded tenants have per-shard predictor state; "
@@ -107,7 +110,8 @@ TenantStatus Tenant::snapshot(std::ostream& out, std::string* detail) {
   return TenantStatus::kOk;
 }
 
-TenantStatus Tenant::restore(std::istream& in, std::string* detail) {
+TenantStatus Tenant::restore(std::span<const std::uint8_t> image,
+                             std::string* detail) {
   if (sharded_) {
     if (detail != nullptr) {
       *detail = "sharded tenants cannot restore a single-engine snapshot";
@@ -119,7 +123,7 @@ TenantStatus Tenant::restore(std::istream& in, std::string* detail) {
   // half-restored state.
   auto fresh = std::make_unique<PrefetchEngine>(config_.engine);
   try {
-    fresh->restore(in);
+    fresh->restore(image);
   } catch (const std::exception& err) {
     if (detail != nullptr) {
       *detail = err.what();
@@ -128,6 +132,31 @@ TenantStatus Tenant::restore(std::istream& in, std::string* detail) {
   }
   engine_ = std::move(fresh);
   return TenantStatus::kOk;
+}
+
+TenantStatus Tenant::snapshot(std::ostream& out, std::string* detail) {
+  std::vector<std::uint8_t> image;
+  const TenantStatus status = snapshot(image, detail);
+  if (status == TenantStatus::kOk) {
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+  }
+  return status;
+}
+
+TenantStatus Tenant::restore(std::istream& in, std::string* detail) {
+  std::vector<std::uint8_t> image;
+  if (const std::streamsize buffered = in.rdbuf()->in_avail(); buffered > 0) {
+    image.reserve(static_cast<std::size_t>(buffered));
+  }
+  constexpr std::size_t kChunk = 1 << 16;
+  while (in) {
+    const std::size_t at = image.size();
+    image.resize(at + kChunk);
+    in.read(reinterpret_cast<char*>(image.data() + at), kChunk);
+    image.resize(at + static_cast<std::size_t>(in.gcount()));
+  }
+  return restore(std::span<const std::uint8_t>(image), detail);
 }
 
 void Tenant::flush() {

@@ -122,14 +122,23 @@ class Tenant {
   /// this (docs/server.md, "Backpressure contract").
   [[nodiscard]] double queue_pressure() const;
 
-  /// Persists durable state (PFEG stream).  kUnsupported for sharded
-  /// tenants (per-shard predictor state does not concatenate).
-  TenantStatus snapshot(std::ostream& out, std::string* detail)
+  /// Appends durable state to `out` as one PFEG image.  kUnsupported
+  /// for sharded tenants (per-shard predictor state does not
+  /// concatenate); `out` is then left as it was.
+  TenantStatus snapshot(std::vector<std::uint8_t>& out, std::string* detail)
       PFP_REQUIRES(mu_);
 
-  /// Restores a PFEG blob into a freshly built engine and swaps it in
+  /// Restores one PFEG image into a freshly built engine and swaps it in
   /// on success; on ANY failure the previous engine keeps serving and
   /// *detail names the reason.
+  TenantStatus restore(std::span<const std::uint8_t> image,
+                       std::string* detail) PFP_REQUIRES(mu_);
+
+  /// Stream adapters over the two calls above, for callers that hold an
+  /// iostream: one buffer encode plus one write, or one read of the whole
+  /// stream plus the span decode.
+  TenantStatus snapshot(std::ostream& out, std::string* detail)
+      PFP_REQUIRES(mu_);
   TenantStatus restore(std::istream& in, std::string* detail)
       PFP_REQUIRES(mu_);
 

@@ -1,6 +1,6 @@
 #include "server/session.hpp"
 
-#include <sstream>
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -89,19 +89,34 @@ bool Session::ingest(std::span<const std::uint8_t> bytes) {
 }
 
 void Session::consumed(std::size_t bytes) {
-  out_.erase(out_.begin(), out_.begin() + static_cast<std::ptrdiff_t>(bytes));
+  out_head_ += std::min(bytes, out_.size() - out_head_);
+  if (out_head_ == out_.size()) {
+    out_.clear();
+    out_head_ = 0;
+  } else if (out_head_ > out_.size() / 2) {
+    // Each compaction moves fewer bytes than were sent since the last
+    // one, so a drain costs O(reply size) in total.
+    out_.erase(out_.begin(),
+               out_.begin() + static_cast<std::ptrdiff_t>(out_head_));
+    out_head_ = 0;
+  }
+}
+
+wire::FrameHeader Session::reply_header(const wire::FrameHeader& request,
+                                        wire::MsgType type,
+                                        std::uint8_t flags) {
+  wire::FrameHeader header;
+  header.type = type;
+  header.flags = flags;
+  header.tenant = request.tenant;
+  header.serial = request.serial;
+  return header;
 }
 
 void Session::reply(const wire::FrameHeader& request, wire::MsgType type,
                     std::uint8_t flags,
                     std::span<const std::uint8_t> payload) {
-  wire::FrameHeader header;
-  header.type = type;
-  header.flags = flags;
-  header.tenant = request.tenant;
-  header.payload_len = static_cast<std::uint32_t>(payload.size());
-  header.serial = request.serial;
-  wire::append_frame(out_, header, payload);
+  wire::append_frame(out_, reply_header(request, type, flags), payload);
 }
 
 void Session::reply_error(const wire::FrameHeader& request,
@@ -319,42 +334,37 @@ void Session::handle_snapshot(const wire::Frame& frame,
                 "SNAPSHOT carries no payload");
     return;
   }
-  std::ostringstream blob;
+  // The image is encoded straight into the reply queue behind a
+  // reserved header, which is filled in once its length is known.
+  const std::size_t at = wire::begin_frame(out_);
   std::string detail;
   engine::TenantStatus status;
   {
     util::MutexLock lock(tenant.mu());
-    status = tenant.snapshot(blob, &detail);
+    status = tenant.snapshot(out_, &detail);
   }
   if (status != engine::TenantStatus::kOk) {
+    out_.resize(at);
     reply_error(frame.header, to_wire(status), detail);
     return;
   }
-  const std::string bytes = std::move(blob).str();
-  if (bytes.size() > wire::kMaxPayload) {
+  if (out_.size() - at - wire::kHeaderSize > wire::kMaxPayload) {
+    out_.resize(at);
     reply_error(frame.header, wire::ErrorCode::kInternal,
                 "snapshot exceeds the frame payload bound");
     return;
   }
-  reply(frame.header, wire::MsgType::kSnapshotReply, 0,
-        std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(bytes.data()),
-            bytes.size()));
+  wire::end_frame(out_, at,
+                  reply_header(frame.header, wire::MsgType::kSnapshotReply, 0));
 }
 
 void Session::handle_restore(const wire::Frame& frame,
                              engine::Tenant& tenant) {
-  std::string bytes;
-  if (!frame.payload.empty()) {
-    bytes.assign(reinterpret_cast<const char*>(frame.payload.data()),
-                 frame.payload.size());
-  }
-  std::istringstream blob(std::move(bytes));
   std::string detail;
   engine::TenantStatus status;
   {
     util::MutexLock lock(tenant.mu());
-    status = tenant.restore(blob, &detail);
+    status = tenant.restore(frame.payload, &detail);
   }
   if (status != engine::TenantStatus::kOk) {
     reply_error(frame.header, to_wire(status), detail);

@@ -66,10 +66,14 @@ class Session {
   bool ingest(std::span<const std::uint8_t> bytes);
 
   /// Reply bytes awaiting transmission; the transport consumes a prefix
-  /// and calls consumed() with how much it wrote.
-  [[nodiscard]] const std::vector<std::uint8_t>& out() const noexcept {
-    return out_;
+  /// and calls consumed() with how much it wrote.  The view is
+  /// invalidated by the next ingest() or consumed().
+  [[nodiscard]] std::span<const std::uint8_t> out() const noexcept {
+    return std::span<const std::uint8_t>(out_).subspan(out_head_);
   }
+  /// Advances past `bytes` sent bytes.  Draining a large reply in
+  /// socket-write steps is linear: the queue keeps a head offset and
+  /// compacts only once it empties or the head passes its middle.
   void consumed(std::size_t bytes);
 
   [[nodiscard]] bool fatal() const noexcept { return fatal_; }
@@ -85,6 +89,9 @@ class Session {
 
  private:
   void handle_frame(const wire::Frame& frame);
+  [[nodiscard]] static wire::FrameHeader reply_header(
+      const wire::FrameHeader& request, wire::MsgType type,
+      std::uint8_t flags);
   void reply(const wire::FrameHeader& request, wire::MsgType type,
              std::uint8_t flags, std::span<const std::uint8_t> payload);
   void reply_error(const wire::FrameHeader& request, wire::ErrorCode code,
@@ -103,6 +110,7 @@ class Session {
   SessionConfig config_;
   std::vector<std::uint8_t> in_;
   std::vector<std::uint8_t> out_;
+  std::size_t out_head_ = 0;  ///< out_[0, out_head_) is already sent
   bool fatal_ = false;
   std::uint64_t frames_handled_ = 0;
   std::uint64_t errors_sent_ = 0;

@@ -1,34 +1,14 @@
 #include "server/wire.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 namespace pfp::server::wire {
 
 namespace {
 
 constexpr std::size_t kMaxTenantName = 255;
-
-/// Little-endian u16/u32/u64 reads from a raw pointer (bounds already
-/// checked by the caller).
-std::uint16_t load_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t load_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t load_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
 
 bool known_type(std::uint8_t t) {
   switch (static_cast<MsgType>(t)) {
@@ -118,12 +98,13 @@ DecodeResult decode(std::span<const std::uint8_t> buf) {
     result.error = ErrorCode::kBadVersion;
     return result;
   }
+  Reader r(buf.subspan(4, kHeaderSize - 4));
   FrameHeader header;
-  header.type = static_cast<MsgType>(buf[4]);
-  header.flags = buf[5];
-  header.tenant = load_u16(buf.data() + 6);
-  header.payload_len = load_u32(buf.data() + 8);
-  header.serial = load_u32(buf.data() + 12);
+  header.type = static_cast<MsgType>(r.read_u8());
+  header.flags = r.read_u8();
+  header.tenant = r.read_u16();
+  header.payload_len = r.read_u32();
+  header.serial = r.read_u32();
   if (header.payload_len > kMaxPayload) {
     // The framing itself is intact but the declared length is beyond
     // anything this protocol produces; skipping it would stall the
@@ -151,97 +132,28 @@ DecodeResult decode(std::span<const std::uint8_t> buf) {
 
 void append_frame(std::vector<std::uint8_t>& out, const FrameHeader& header,
                   std::span<const std::uint8_t> payload) {
-  out.reserve(out.size() + kHeaderSize + payload.size());
-  out.push_back(kMagic[0]);
-  out.push_back(kMagic[1]);
-  out.push_back(kMagic[2]);
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(header.type));
-  out.push_back(header.flags);
-  put_u16(out, header.tenant);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, header.serial);
-  out.insert(out.end(), payload.begin(), payload.end());
+  const std::size_t at = begin_frame(out);
+  util::put_bytes(out, payload);
+  end_frame(out, at, header);
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
+std::size_t begin_frame(std::vector<std::uint8_t>& out) {
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderSize);
+  return at;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_string(std::vector<std::uint8_t>& out, std::string_view s) {
-  put_u16(out, static_cast<std::uint16_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-bool Reader::take(std::size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint16_t Reader::read_u16() {
-  if (!take(2)) {
-    return 0;
-  }
-  const std::uint16_t v = load_u16(data_.data() + pos_);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t Reader::read_u32() {
-  if (!take(4)) {
-    return 0;
-  }
-  const std::uint32_t v = load_u32(data_.data() + pos_);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Reader::read_u64() {
-  if (!take(8)) {
-    return 0;
-  }
-  const std::uint64_t v = load_u64(data_.data() + pos_);
-  pos_ += 8;
-  return v;
-}
-
-double Reader::read_f64() { return std::bit_cast<double>(read_u64()); }
-
-std::span<const std::uint8_t> Reader::read_bytes(std::size_t n) {
-  if (!take(n)) {
-    return {};
-  }
-  const auto view = data_.subspan(pos_, n);
-  pos_ += n;
-  return view;
-}
-
-std::string Reader::read_string() {
-  const std::uint16_t len = read_u16();
-  const auto bytes = read_bytes(len);
-  return std::string(bytes.begin(), bytes.end());
+void end_frame(std::vector<std::uint8_t>& out, std::size_t at,
+               const FrameHeader& header) {
+  std::copy(std::begin(kMagic), std::end(kMagic),
+            out.begin() + static_cast<std::ptrdiff_t>(at));
+  out[at + 3] = kVersion;
+  out[at + 4] = static_cast<std::uint8_t>(header.type);
+  out[at + 5] = header.flags;
+  util::patch_le(out, at + 6, header.tenant);
+  util::patch_le(out, at + 8,
+                 static_cast<std::uint32_t>(out.size() - at - kHeaderSize));
+  util::patch_le(out, at + 12, header.serial);
 }
 
 void encode_tenant_open(std::vector<std::uint8_t>& out,

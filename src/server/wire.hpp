@@ -13,9 +13,9 @@
 //     12      4     serial (u32; echoed verbatim in the reply)
 //
 // followed by `payload length` bytes of type-specific payload.  All
-// integers are little-endian; doubles travel as bit-cast u64 (the same
-// dialect as util/binary_io.hpp, but over byte spans instead of
-// iostreams so the decoder can run zero-copy inside the event loop).
+// integers are little-endian; doubles travel as bit-cast u64 — this is
+// util/binary_io.hpp's codec, the one every snapshot format uses, so a
+// RESTORE payload decodes zero-copy inside the event loop.
 //
 // Error handling is typed and total: a malformed header (bad magic /
 // version / oversized length) is connection-fatal — the server replies
@@ -37,6 +37,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/binary_io.hpp"
 
 namespace pfp::server::wire {
 
@@ -136,51 +138,21 @@ struct DecodeResult {
 void append_frame(std::vector<std::uint8_t>& out, const FrameHeader& header,
                   std::span<const std::uint8_t> payload);
 
-/// Little-endian append helpers (the payload-building vocabulary).
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v);
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-void put_f64(std::vector<std::uint8_t>& out, double v);
+/// Reserves a frame header at the end of `out` and returns its offset;
+/// the caller appends the payload straight into `out`, then end_frame()
+/// writes the header with the payload length.  This is how a
+/// multi-megabyte SNAPSHOT reply is encoded without a staging copy.
+[[nodiscard]] std::size_t begin_frame(std::vector<std::uint8_t>& out);
+void end_frame(std::vector<std::uint8_t>& out, std::size_t at,
+               const FrameHeader& header);
 
-/// Bounds-checked little-endian cursor over a payload span.  All read_*
-/// calls after an overrun return zeros and latch ok() == false, so
-/// payload parsers can read field-by-field and check once at the end
-/// (mirrors binary_io's garbage-on-truncation contract, but without
-/// iostream state).
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  [[nodiscard]] std::uint16_t read_u16();
-  [[nodiscard]] std::uint32_t read_u32();
-  [[nodiscard]] std::uint64_t read_u64();
-  [[nodiscard]] double read_f64();
-  /// Reads `n` raw bytes; an empty span (with ok() latched false) on
-  /// overrun.
-  [[nodiscard]] std::span<const std::uint8_t> read_bytes(std::size_t n);
-  /// u16 length-prefixed UTF-8 string.
-  [[nodiscard]] std::string read_string();
-
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  /// True when every byte was consumed (parsers use this to reject
-  /// trailing garbage).
-  [[nodiscard]] bool exhausted() const noexcept {
-    return ok_ && pos_ == data_.size();
-  }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return data_.size() - pos_;
-  }
-
- private:
-  [[nodiscard]] bool take(std::size_t n);
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-/// u16 length-prefixed string (TENANT_OPEN names, error details).
-void put_string(std::vector<std::uint8_t>& out, std::string_view s);
+/// The payload-building vocabulary is util/binary_io.hpp's codec.
+using util::put_f64;
+using util::put_string;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
+using Reader = util::ByteReader;
 
 // --- typed payloads -----------------------------------------------------
 

@@ -2,14 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace pfp::core::assoc {
 namespace {
 
 using costben::PredictedBlock;
+
+AssociationMiner load(std::span<const std::uint8_t> image,
+                      AssocConfig config) {
+  util::ByteReader in(image);
+  return AssociationMiner::deserialize(in, config);
+}
 
 std::vector<PredictedBlock> predict(const AssociationMiner& miner,
                                     trace::BlockId block,
@@ -173,10 +182,10 @@ TEST(AssociationMinerSerialize, RoundTripPreservesPredictions) {
   for (const trace::BlockId b : seq) {
     miner.observe(b);
   }
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   miner.serialize(stream);
   AssociationMiner restored =
-      AssociationMiner::deserialize(stream, miner.config());
+      load(stream, miner.config());
   EXPECT_EQ(restored.row_count(), miner.row_count());
   EXPECT_EQ(restored.association_count(), miner.association_count());
   restored.audit();
@@ -202,18 +211,19 @@ TEST(AssociationMinerSerialize, RoundTripIsByteStable) {
   for (trace::BlockId b = 0; b < 200; ++b) {
     miner.observe(b % 23);
   }
-  std::stringstream first;
+  std::vector<std::uint8_t> first;
   miner.serialize(first);
   AssociationMiner restored =
-      AssociationMiner::deserialize(first, miner.config());
-  std::stringstream second;
+      load(first, miner.config());
+  std::vector<std::uint8_t> second;
   restored.serialize(second);
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(first, second);
 }
 
 TEST(AssociationMinerSerialize, RejectsBadMagic) {
-  std::stringstream stream("NOPEnope");
-  EXPECT_THROW(AssociationMiner::deserialize(stream, AssocConfig{}),
+  const std::string junk = "NOPEnope";
+  const std::vector<std::uint8_t> stream(junk.begin(), junk.end());
+  EXPECT_THROW(load(stream, AssocConfig{}),
                std::runtime_error);
 }
 
@@ -222,12 +232,12 @@ TEST(AssociationMinerSerialize, RejectsTruncatedStream) {
   for (trace::BlockId b = 0; b < 60; ++b) {
     miner.observe(b % 7);
   }
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   miner.serialize(stream);
-  const std::string bytes = stream.str();
+  const std::vector<std::uint8_t>& bytes = stream;
   for (std::size_t cut = 4; cut < bytes.size(); cut += 9) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_THROW(AssociationMiner::deserialize(truncated, miner.config()),
+    const std::span<const std::uint8_t> truncated(bytes.data(), cut);
+    EXPECT_THROW(load(truncated, miner.config()),
                  std::runtime_error);
   }
 }
@@ -237,12 +247,29 @@ TEST(AssociationMinerSerialize, RejectsRowsBeyondTheConfiguredBounds) {
   for (trace::BlockId b = 0; b < 100; ++b) {
     miner.observe(b);
   }
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   miner.serialize(stream);
   AssocConfig tiny = small_config();
   tiny.max_rows = 2;
-  EXPECT_THROW(AssociationMiner::deserialize(stream, tiny),
+  EXPECT_THROW(load(stream, tiny),
                std::runtime_error);
+}
+
+TEST(AssociationMinerSerialize, RejectsASelfAssociation) {
+  AssociationMiner miner(small_config());
+  const trace::BlockId seq[] = {100, 200, 1, 2, 3, 100, 200, 4, 5, 6, 7, 8};
+  for (const trace::BlockId b : seq) {
+    miner.observe(b);
+  }
+  std::vector<std::uint8_t> stream;
+  miner.serialize(stream);
+  // First row: source u64 after magic (4), version (2) and row count
+  // (8); its first association's partner follows occurrences and size.
+  constexpr std::size_t kSourceAt = 4 + 2 + 8;
+  constexpr std::size_t kPartnerAt = kSourceAt + 8 + 4 + 4;
+  ASSERT_GT(stream.size(), kPartnerAt + 8);
+  std::copy_n(stream.begin() + kSourceAt, 8, stream.begin() + kPartnerAt);
+  EXPECT_THROW(load(stream, miner.config()), std::runtime_error);
 }
 
 TEST(AssociationMinerSerialize, RejectsGapBeyondTheLookahead) {
@@ -251,12 +278,12 @@ TEST(AssociationMinerSerialize, RejectsGapBeyondTheLookahead) {
   for (const trace::BlockId b : seq) {
     miner.observe(b);
   }
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   miner.serialize(stream);
   AssocConfig narrow = small_config();
   narrow.lookahead = 1;  // window still exceeds it
   // Mined gaps of 2+ are invalid under the narrower config.
-  EXPECT_THROW(AssociationMiner::deserialize(stream, narrow),
+  EXPECT_THROW(load(stream, narrow),
                std::runtime_error);
 }
 

@@ -2,14 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace pfp::core::markov {
 namespace {
 
 using costben::PredictedBlock;
+
+DeltaMarkov load(std::span<const std::uint8_t> image,
+                 MarkovConfig config) {
+  util::ByteReader in(image);
+  return DeltaMarkov::deserialize(in, config);
+}
 
 std::vector<PredictedBlock> predict(const DeltaMarkov& model,
                                     MarkovPredictLimits limits = {}) {
@@ -193,9 +201,9 @@ TEST(DeltaMarkovSerialize, RoundTripPreservesPredictions) {
   for (const trace::BlockId b : seq) {
     model.observe(b);
   }
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   model.serialize(stream);
-  DeltaMarkov restored = DeltaMarkov::deserialize(stream, model.config());
+  DeltaMarkov restored = load(stream, model.config());
 
   EXPECT_EQ(restored.row_count(), model.row_count());
   EXPECT_EQ(restored.transition_count(), model.transition_count());
@@ -227,17 +235,18 @@ TEST(DeltaMarkovSerialize, RoundTripIsByteStable) {
     model.observe(b);
     model.observe(b + 1);
   }
-  std::stringstream first;
+  std::vector<std::uint8_t> first;
   model.serialize(first);
-  DeltaMarkov restored = DeltaMarkov::deserialize(first, model.config());
-  std::stringstream second;
+  DeltaMarkov restored = load(first, model.config());
+  std::vector<std::uint8_t> second;
   restored.serialize(second);
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(first, second);
 }
 
 TEST(DeltaMarkovSerialize, RejectsBadMagic) {
-  std::stringstream stream("XXXXjunk");
-  EXPECT_THROW(DeltaMarkov::deserialize(stream, MarkovConfig{}),
+  const std::string junk = "XXXXjunk";
+  const std::vector<std::uint8_t> stream(junk.begin(), junk.end());
+  EXPECT_THROW(load(stream, MarkovConfig{}),
                std::runtime_error);
 }
 
@@ -246,12 +255,12 @@ TEST(DeltaMarkovSerialize, RejectsTruncatedStream) {
   for (trace::BlockId b = 0; b <= 40; b += 4) {
     model.observe(b);
   }
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   model.serialize(stream);
-  const std::string bytes = stream.str();
+  const std::vector<std::uint8_t>& bytes = stream;
   for (std::size_t cut = 4; cut < bytes.size(); cut += 7) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_THROW(DeltaMarkov::deserialize(truncated, model.config()),
+    const std::span<const std::uint8_t> truncated(bytes.data(), cut);
+    EXPECT_THROW(load(truncated, model.config()),
                  std::runtime_error);
   }
 }
@@ -261,11 +270,11 @@ TEST(DeltaMarkovSerialize, RejectsRowsBeyondTheConfiguredBounds) {
   for (trace::BlockId b = 0; b < 60; ++b) {
     wide.observe(b * b);  // quadratic: every delta is new
   }
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   wide.serialize(stream);
   MarkovConfig tiny;
   tiny.max_contexts = 2;
-  EXPECT_THROW(DeltaMarkov::deserialize(stream, tiny), std::runtime_error);
+  EXPECT_THROW(load(stream, tiny), std::runtime_error);
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 // opaque serialize/restore virtuals, and typed candidate introspection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/policy/assoc_policy.hpp"
@@ -90,10 +91,12 @@ TEST(MarkovPolicy, PredictorStateRoundTripsThroughTheVirtuals) {
   EXPECT_EQ(trained.predictor_state_tag(), kPredictorMarkov);
   ASSERT_GT(trained.model().row_count(), 0u);
 
-  std::stringstream blob;
+  std::vector<std::uint8_t> blob;
   trained.save_predictor_state(blob);
+  util::ByteReader in(blob);
   MarkovCostBenefit restored;
-  EXPECT_TRUE(restored.load_predictor_state(blob));
+  EXPECT_TRUE(restored.load_predictor_state(in));
+  EXPECT_TRUE(in.exhausted());
   EXPECT_EQ(restored.model().row_count(), trained.model().row_count());
   EXPECT_EQ(restored.model().transition_count(),
             trained.model().transition_count());
@@ -101,8 +104,10 @@ TEST(MarkovPolicy, PredictorStateRoundTripsThroughTheVirtuals) {
 
 TEST(MarkovPolicy, LoadRejectsForeignBlobs) {
   MarkovCostBenefit policy;
-  std::stringstream junk("PFTRnot-a-markov-stream");
-  EXPECT_THROW(policy.load_predictor_state(junk), std::runtime_error);
+  const std::string junk = "PFTRnot-a-markov-stream";
+  util::ByteReader in(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(junk.data()), junk.size()));
+  EXPECT_THROW(policy.load_predictor_state(in), std::runtime_error);
 }
 
 TEST(MarkovPolicy, PredictionsIntoReportsTypedCandidates) {
@@ -158,10 +163,12 @@ TEST(AssocPolicy, PredictorStateRoundTripsThroughTheVirtuals) {
   EXPECT_EQ(trained.predictor_state_tag(), kPredictorAssoc);
   ASSERT_GT(trained.miner().row_count(), 0u);
 
-  std::stringstream blob;
+  std::vector<std::uint8_t> blob;
   trained.save_predictor_state(blob);
+  util::ByteReader in(blob);
   AssocCostBenefit restored(config);
-  EXPECT_TRUE(restored.load_predictor_state(blob));
+  EXPECT_TRUE(restored.load_predictor_state(in));
+  EXPECT_TRUE(in.exhausted());
   EXPECT_EQ(restored.miner().row_count(), trained.miner().row_count());
   EXPECT_EQ(restored.miner().association_count(),
             trained.miner().association_count());
@@ -169,8 +176,10 @@ TEST(AssocPolicy, PredictorStateRoundTripsThroughTheVirtuals) {
 
 TEST(AssocPolicy, LoadRejectsForeignBlobs) {
   AssocCostBenefit policy;
-  std::stringstream junk("PFMKnot-an-association-stream");
-  EXPECT_THROW(policy.load_predictor_state(junk), std::runtime_error);
+  const std::string junk = "PFMKnot-an-association-stream";
+  util::ByteReader in(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(junk.data()), junk.size()));
+  EXPECT_THROW(policy.load_predictor_state(in), std::runtime_error);
 }
 
 TEST(AssocPolicy, PredictionsIntoReportsTypedCandidates) {
@@ -196,10 +205,11 @@ TEST(PredictorInterface, BaselinePoliciesCarryNoState) {
   EXPECT_EQ(policy->predictor_state_tag(), kPredictorNone);
   std::vector<costben::PredictedBlock> out;
   EXPECT_EQ(policy->predictions_into(out), 0u);
-  std::stringstream blob;
+  std::vector<std::uint8_t> blob;
   policy->save_predictor_state(blob);
-  EXPECT_TRUE(blob.str().empty());
-  EXPECT_FALSE(policy->load_predictor_state(blob));
+  EXPECT_TRUE(blob.empty());
+  util::ByteReader in(blob);
+  EXPECT_FALSE(policy->load_predictor_state(in));
 }
 
 TEST(PredictorInterface, TagNamesAreHumanReadable) {

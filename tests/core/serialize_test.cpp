@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/tree/enumerator.hpp"
 #include "core/tree/prefetch_tree.hpp"
@@ -29,6 +32,18 @@ PrefetchTree trained_tree(std::uint64_t seed, int accesses) {
   return tree;
 }
 
+std::vector<std::uint8_t> image_of(const PrefetchTree& tree) {
+  std::vector<std::uint8_t> out;
+  tree.serialize(out);
+  return out;
+}
+
+PrefetchTree load(std::span<const std::uint8_t> image,
+                  TreeConfig config = TreeConfig{}) {
+  util::ByteReader in(image);
+  return PrefetchTree::deserialize(in, config);
+}
+
 void expect_equal_trees(const PrefetchTree& a, const PrefetchTree& b) {
   ASSERT_EQ(a.node_count(), b.node_count());
   // Walk both in lockstep.
@@ -49,17 +64,15 @@ void expect_equal_trees(const PrefetchTree& a, const PrefetchTree& b) {
 
 TEST(TreeSerialize, RoundTripPreservesStructure) {
   const PrefetchTree original = trained_tree(1, 20'000);
-  std::stringstream buf;
-  original.serialize(buf);
-  const PrefetchTree loaded = PrefetchTree::deserialize(buf);
+  const std::vector<std::uint8_t> buf = image_of(original);
+  const PrefetchTree loaded = load(buf);
   expect_equal_trees(original, loaded);
 }
 
 TEST(TreeSerialize, RoundTripPreservesPredictions) {
   const PrefetchTree original = trained_tree(2, 20'000);
-  std::stringstream buf;
-  original.serialize(buf);
-  const PrefetchTree loaded = PrefetchTree::deserialize(buf);
+  const std::vector<std::uint8_t> buf = image_of(original);
+  const PrefetchTree loaded = load(buf);
   EnumeratorLimits limits;
   const auto a = enumerate_candidates(original, original.root(), limits);
   const auto b = enumerate_candidates(loaded, loaded.root(), limits);
@@ -76,9 +89,8 @@ TEST(TreeSerialize, LoadedTreeKeepsLearning) {
   for (const BlockId b : {1u, 2u, 1u, 2u, 1u, 2u}) {
     original.access(b);
   }
-  std::stringstream buf;
-  original.serialize(buf);
-  PrefetchTree loaded = PrefetchTree::deserialize(buf);
+  const std::vector<std::uint8_t> buf = image_of(original);
+  PrefetchTree loaded = load(buf);
   // New accesses keep updating weights from the loaded state.
   const auto before = loaded.node(loaded.find_child(loaded.root(), 1)).weight;
   loaded.access(1);
@@ -88,11 +100,10 @@ TEST(TreeSerialize, LoadedTreeKeepsLearning) {
 
 TEST(TreeSerialize, BoundedConfigAppliesToFutureGrowth) {
   const PrefetchTree original = trained_tree(3, 5'000);
-  std::stringstream buf;
-  original.serialize(buf);
+  const std::vector<std::uint8_t> buf = image_of(original);
   TreeConfig config;
   config.max_nodes = original.node_count();  // loaded exactly at budget
-  PrefetchTree loaded = PrefetchTree::deserialize(buf, config);
+  PrefetchTree loaded = load(buf, config);
   EXPECT_EQ(loaded.node_count(), original.node_count());
   util::Xoshiro256 rng(4);
   for (int i = 0; i < 2'000; ++i) {
@@ -103,26 +114,23 @@ TEST(TreeSerialize, BoundedConfigAppliesToFutureGrowth) {
 
 TEST(TreeSerialize, EmptyTreeRoundTrips) {
   PrefetchTree empty;
-  std::stringstream buf;
-  empty.serialize(buf);
-  const PrefetchTree loaded = PrefetchTree::deserialize(buf);
+  const std::vector<std::uint8_t> buf = image_of(empty);
+  const PrefetchTree loaded = load(buf);
   EXPECT_EQ(loaded.node_count(), 1u);
   EXPECT_EQ(loaded.node(loaded.root()).weight, 0u);
 }
 
 TEST(TreeSerialize, RejectsBadMagic) {
-  std::stringstream buf("garbage data here");
-  EXPECT_THROW(PrefetchTree::deserialize(buf), std::runtime_error);
+  const std::string garbage = "garbage data here";
+  const std::vector<std::uint8_t> buf(garbage.begin(), garbage.end());
+  EXPECT_THROW(load(buf), std::runtime_error);
 }
 
 TEST(TreeSerialize, RejectsTruncatedStream) {
   const PrefetchTree original = trained_tree(5, 2'000);
-  std::stringstream buf;
-  original.serialize(buf);
-  std::string bytes = buf.str();
-  bytes.resize(bytes.size() / 2);
-  std::stringstream cut(bytes);
-  EXPECT_THROW(PrefetchTree::deserialize(cut), std::runtime_error);
+  const std::vector<std::uint8_t> buf = image_of(original);
+  const std::span<const std::uint8_t> cut(buf.data(), buf.size() / 2);
+  EXPECT_THROW(load(cut), std::runtime_error);
 }
 
 TEST(TreeSerialize, RejectsCorruptedWeights) {
@@ -130,14 +138,12 @@ TEST(TreeSerialize, RejectsCorruptedWeights) {
   for (const BlockId b : {1u, 1u, 2u}) {
     original.access(b);
   }
-  std::stringstream buf;
-  original.serialize(buf);
-  std::string bytes = buf.str();
+  const std::vector<std::uint8_t> buf = image_of(original);
+  std::vector<std::uint8_t> bad = buf;
   // Blow up a weight byte in the body (after the 14-byte header the root
   // record starts; weights of children follow block ids).
-  bytes[bytes.size() - 5] = '\xff';
-  std::stringstream bad(bytes);
-  EXPECT_THROW(PrefetchTree::deserialize(bad), std::runtime_error);
+  bad[bad.size() - 5] = 0xff;
+  EXPECT_THROW(load(bad), std::runtime_error);
 }
 
 }  // namespace

@@ -88,9 +88,10 @@ TEST_F(TreeAuditDetection, CleanBoundedTreeAuditsPass) {
 
 TEST_F(TreeAuditDetection, SerializeRoundTripAuditsPass) {
   PrefetchTree tree = small_tree();
-  std::stringstream stream;
-  tree.serialize(stream);
-  PrefetchTree restored = PrefetchTree::deserialize(stream);
+  std::vector<std::uint8_t> image;
+  tree.serialize(image);
+  util::ByteReader in(image);
+  PrefetchTree restored = PrefetchTree::deserialize(in);
   EXPECT_NO_THROW(restored.audit());
 }
 

@@ -3,7 +3,9 @@
 // the trace ring records what the engine did.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "engine/prefetch_engine.hpp"
 #include "obs/engine_obs.hpp"
@@ -148,7 +150,7 @@ TEST(EngineObs, RestoredEnginePublishesItsStats) {
   PrefetchEngine eng(tree_config());
   eng.run_trace(random_trace(13, 5'000, 200));
 
-  std::stringstream blob;
+  std::vector<std::uint8_t> blob;
   eng.snapshot(blob);
   PrefetchEngine resumed(tree_config());
   resumed.restore(blob);

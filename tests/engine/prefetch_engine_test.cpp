@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/prng.hpp"
 
@@ -84,7 +87,7 @@ TEST(PrefetchEngine, SnapshotRestoreRoundTripsDurableState) {
   PrefetchEngine trained(tree_config());
   trained.run_trace(t);
 
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   trained.snapshot(stream);
 
   PrefetchEngine restored(tree_config());
@@ -117,7 +120,7 @@ TEST(PrefetchEngine, RestoredEngineContinuesLikeTheOriginal) {
   PrefetchEngine original(tree_config());
   original.run_trace(warmup);
 
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   original.snapshot(stream);
   PrefetchEngine resumed(tree_config());
   resumed.restore(stream);
@@ -134,7 +137,7 @@ TEST(PrefetchEngine, RestoreRequiresFreshEngine) {
   PrefetchEngine trained(tree_config());
   trained.access(1);
 
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   trained.snapshot(stream);
 
   PrefetchEngine used(tree_config());
@@ -145,7 +148,7 @@ TEST(PrefetchEngine, RestoreRequiresFreshEngine) {
 TEST(PrefetchEngine, RestoreRejectsCacheSizeMismatch) {
   PrefetchEngine trained(tree_config(64));
   trained.access(1);
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   trained.snapshot(stream);
 
   PrefetchEngine other(tree_config(128));
@@ -153,7 +156,8 @@ TEST(PrefetchEngine, RestoreRejectsCacheSizeMismatch) {
 }
 
 TEST(PrefetchEngine, RestoreRejectsGarbage) {
-  std::stringstream garbage("this is not a snapshot");
+  const std::string text = "this is not a snapshot";
+  const std::vector<std::uint8_t> garbage(text.begin(), text.end());
   PrefetchEngine eng(tree_config());
   EXPECT_THROW(eng.restore(garbage), std::runtime_error);
 }
@@ -161,11 +165,11 @@ TEST(PrefetchEngine, RestoreRejectsGarbage) {
 TEST(PrefetchEngine, RestoreRejectsTruncatedStream) {
   PrefetchEngine trained(tree_config());
   trained.run_trace(random_trace(17, 5'000, 100));
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   trained.snapshot(stream);
 
-  const std::string full = stream.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
+  const std::span<const std::uint8_t> truncated(stream.data(),
+                                                stream.size() / 2);
   PrefetchEngine eng(tree_config());
   EXPECT_THROW(eng.restore(truncated), std::runtime_error);
 }
@@ -176,7 +180,7 @@ TEST(PrefetchEngine, SnapshotWorksForTreelessPolicies) {
   PrefetchEngine eng(c);
   eng.run_trace(random_trace(19, 5'000, 100));
 
-  std::stringstream stream;
+  std::vector<std::uint8_t> stream;
   eng.snapshot(stream);
   PrefetchEngine restored(c);
   restored.restore(stream);

@@ -1,13 +1,14 @@
-// Snapshot stream migration: v1 images (predictor-tree flag + raw PFTR
-// stream) must keep restoring bit-identically under the v2 reader, and
-// the v2 tagged predictor blob must fail closed — truncation, garbage,
-// implausible lengths, trailing bytes, and cross-kind restores all raise
-// typed errors instead of silently corrupting the predictor.
+// Snapshot versions and the tagged predictor blob: v2 is the only image
+// the reader accepts (a v1 header gets the typed "unsupported version"),
+// and the blob must fail closed — truncation, garbage, implausible
+// lengths, trailing bytes, and cross-kind restores all raise typed
+// errors instead of silently corrupting the predictor.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "engine/prefetch_engine.hpp"
 #include "util/prng.hpp"
@@ -33,42 +34,29 @@ trace::Trace random_trace(std::uint64_t seed, int length, int universe) {
   return t;
 }
 
-std::string snapshot_bytes(const PrefetchEngine& eng) {
-  std::stringstream stream;
-  eng.snapshot(stream);
-  return stream.str();
-}
+using Image = std::vector<std::uint8_t>;
 
-std::string predictor_blob(const PrefetchEngine& eng) {
-  std::ostringstream blob;
-  eng.prefetcher().save_predictor_state(blob);
-  return std::move(blob).str();
-}
-
-/// Rewrites a v2 snapshot into the v1 wire format: the common body is
-/// unchanged, the tagged length-prefixed tail becomes a presence flag
-/// followed by the raw predictor stream.  This is exactly what old v1
-/// writers produced, so the migration tests need no archived fixtures.
-std::string as_v1_image(const std::string& v2, const std::string& blob,
-                        bool carries_tree) {
-  const std::size_t tail = 4 + (carries_tree ? 8 + blob.size() : 0);
-  std::string image = v2.substr(0, v2.size() - tail);
-  image[4] = '\1';  // little-endian u16 version = 1
-  image[5] = '\0';
-  image.push_back(carries_tree ? '\1' : '\0');
-  if (carries_tree) {
-    image += blob;
-  }
+Image snapshot_bytes(const PrefetchEngine& eng) {
+  Image image;
+  eng.snapshot(image);
   return image;
 }
 
-void expect_restore_error(const EngineConfig& config,
-                          const std::string& image,
+std::size_t predictor_blob_size(const PrefetchEngine& eng) {
+  Image blob;
+  eng.prefetcher().save_predictor_state(blob);
+  return blob.size();
+}
+
+Image prefix(const Image& image, std::size_t n) {
+  return Image(image.begin(), image.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+void expect_restore_error(const EngineConfig& config, const Image& image,
                           const std::string& needle) {
   PrefetchEngine eng(config);
-  std::stringstream stream(image);
   try {
-    eng.restore(stream);
+    eng.restore(image);
     FAIL() << "restore accepted a corrupt image (wanted: " << needle << ")";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
@@ -76,49 +64,14 @@ void expect_restore_error(const EngineConfig& config,
   }
 }
 
-TEST(SnapshotMigration, V1TreeImageRestoresBitIdentically) {
+TEST(SnapshotMigration, V1HeaderIsAnUnsupportedVersion) {
   const EngineConfig config = config_for(PolicyKind::kTreeNextLimit);
   PrefetchEngine trained(config);
-  trained.run_trace(random_trace(11, 20'000, 300));
-
-  const std::string v2 = snapshot_bytes(trained);
-  const std::string v1 =
-      as_v1_image(v2, predictor_blob(trained), /*carries_tree=*/true);
-
-  PrefetchEngine restored(config);
-  std::stringstream stream(v1);
-  restored.restore(stream);
-
-  // Re-snapshotting the v1-restored engine reproduces the v2 image byte
-  // for byte: nothing was lost or reinterpreted in migration.
-  EXPECT_EQ(snapshot_bytes(restored), v2);
-}
-
-TEST(SnapshotMigration, V1TreelessImageRestores) {
-  const EngineConfig config = config_for(PolicyKind::kNextLimit);
-  PrefetchEngine trained(config);
-  trained.run_trace(random_trace(13, 5'000, 100));
-
-  const std::string v2 = snapshot_bytes(trained);
-  const std::string v1 = as_v1_image(v2, "", /*carries_tree=*/false);
-
-  PrefetchEngine restored(config);
-  std::stringstream stream(v1);
-  restored.restore(stream);
-  EXPECT_EQ(restored.metrics().misses, trained.metrics().misses);
-  EXPECT_EQ(snapshot_bytes(restored), v2);
-}
-
-TEST(SnapshotMigration, V1TreeImageRejectsTreelessPolicies) {
-  const EngineConfig tree_config = config_for(PolicyKind::kTreeNextLimit);
-  PrefetchEngine trained(tree_config);
-  trained.run_trace(random_trace(17, 5'000, 100));
-  const std::string v1 = as_v1_image(
-      snapshot_bytes(trained), predictor_blob(trained), /*carries_tree=*/true);
-
-  // Same cache geometry, but the configured policy keeps no tree.
-  expect_restore_error(config_for(PolicyKind::kNextLimit), v1,
-                       "snapshot carries a predictor tree");
+  trained.run_trace(random_trace(11, 5'000, 100));
+  Image image = snapshot_bytes(trained);
+  image[4] = 1;  // little-endian u16 version = 1
+  image[5] = 0;
+  expect_restore_error(config, image, "unsupported version");
 }
 
 TEST(SnapshotMigration, V2RoundTripsTheMarkovPredictor) {
@@ -126,9 +79,8 @@ TEST(SnapshotMigration, V2RoundTripsTheMarkovPredictor) {
   PrefetchEngine original(config);
   original.run_trace(random_trace(19, 20'000, 200));
 
-  std::stringstream stream(snapshot_bytes(original));
   PrefetchEngine resumed(config);
-  resumed.restore(stream);
+  resumed.restore(snapshot_bytes(original));
 
   // The chain's parse position is transient by design, so continuation
   // outcomes may differ on the first accesses; the durable state — rows,
@@ -141,16 +93,15 @@ TEST(SnapshotMigration, V2RoundTripsTheAssocPredictor) {
   PrefetchEngine original(config);
   original.run_trace(random_trace(23, 20'000, 200));
 
-  std::stringstream stream(snapshot_bytes(original));
   PrefetchEngine resumed(config);
-  resumed.restore(stream);
+  resumed.restore(snapshot_bytes(original));
   EXPECT_EQ(snapshot_bytes(resumed), snapshot_bytes(original));
 }
 
 TEST(SnapshotMigration, V2RejectsCrossKindRestores) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
   markov.run_trace(random_trace(29, 5'000, 100));
-  const std::string image = snapshot_bytes(markov);
+  const Image image = snapshot_bytes(markov);
 
   expect_restore_error(config_for(PolicyKind::kAssoc), image,
                        "predictor kind mismatch: snapshot carries markov "
@@ -164,34 +115,34 @@ TEST(SnapshotMigration, V2RejectsCrossKindRestores) {
 TEST(SnapshotMigration, V2RejectsATruncatedPredictorTag) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
   markov.run_trace(random_trace(31, 5'000, 100));
-  const std::string image = snapshot_bytes(markov);
-  const std::size_t tail = 4 + 8 + predictor_blob(markov).size();
+  const Image image = snapshot_bytes(markov);
+  const std::size_t tail = 4 + 8 + predictor_blob_size(markov);
 
   expect_restore_error(config_for(PolicyKind::kMarkov),
-                       image.substr(0, image.size() - tail),
+                       prefix(image, image.size() - tail),
                        "truncated predictor tag");
 }
 
 TEST(SnapshotMigration, V2RejectsATruncatedPredictorBlob) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
   markov.run_trace(random_trace(37, 5'000, 100));
-  const std::string image = snapshot_bytes(markov);
+  const Image image = snapshot_bytes(markov);
 
   expect_restore_error(config_for(PolicyKind::kMarkov),
-                       image.substr(0, image.size() - 3),
+                       prefix(image, image.size() - 3),
                        "truncated predictor blob");
 }
 
 TEST(SnapshotMigration, V2RejectsAnImplausibleBlobLength) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
   markov.run_trace(random_trace(41, 5'000, 100));
-  std::string image = snapshot_bytes(markov);
-  const std::size_t blob_size = predictor_blob(markov).size();
+  Image image = snapshot_bytes(markov);
+  const std::size_t blob_size = predictor_blob_size(markov);
 
   // Overwrite the little-endian u64 length prefix with ~2^62 bytes.
   const std::size_t len_at = image.size() - blob_size - 8;
   for (int i = 0; i < 8; ++i) {
-    image[len_at + static_cast<std::size_t>(i)] = (i == 7) ? '\x40' : '\0';
+    image[len_at + static_cast<std::size_t>(i)] = (i == 7) ? 0x40 : 0x00;
   }
   expect_restore_error(config_for(PolicyKind::kMarkov), image,
                        "implausible predictor blob length");
@@ -200,8 +151,8 @@ TEST(SnapshotMigration, V2RejectsAnImplausibleBlobLength) {
 TEST(SnapshotMigration, V2RejectsAGarbagePredictorBlob) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
   markov.run_trace(random_trace(43, 5'000, 100));
-  std::string image = snapshot_bytes(markov);
-  const std::size_t blob_size = predictor_blob(markov).size();
+  Image image = snapshot_bytes(markov);
+  const std::size_t blob_size = predictor_blob_size(markov);
 
   // Stomp the blob's own magic: the policy's deserializer must refuse.
   const std::size_t blob_at = image.size() - blob_size;
@@ -209,15 +160,14 @@ TEST(SnapshotMigration, V2RejectsAGarbagePredictorBlob) {
   image[blob_at + 1] = 'X';
 
   PrefetchEngine eng(config_for(PolicyKind::kMarkov));
-  std::stringstream stream(image);
-  EXPECT_THROW(eng.restore(stream), std::runtime_error);
+  EXPECT_THROW(eng.restore(image), std::runtime_error);
 }
 
 TEST(SnapshotMigration, V2RejectsTrailingBlobBytes) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
   markov.run_trace(random_trace(47, 5'000, 100));
-  std::string image = snapshot_bytes(markov);
-  const std::size_t blob_size = predictor_blob(markov).size();
+  Image image = snapshot_bytes(markov);
+  const std::size_t blob_size = predictor_blob_size(markov);
 
   // Grow the declared length by four and pad: the policy parses its
   // stream, the engine must notice the unconsumed tail.
@@ -225,9 +175,11 @@ TEST(SnapshotMigration, V2RejectsTrailingBlobBytes) {
   const std::uint64_t padded = static_cast<std::uint64_t>(blob_size) + 4;
   for (int i = 0; i < 8; ++i) {
     image[len_at + static_cast<std::size_t>(i)] =
-        static_cast<char>((padded >> (8 * i)) & 0xff);
+        static_cast<std::uint8_t>((padded >> (8 * i)) & 0xff);
   }
-  image += "pad!";
+  for (const char c : {'p', 'a', 'd', '!'}) {
+    image.push_back(static_cast<std::uint8_t>(c));
+  }
   expect_restore_error(config_for(PolicyKind::kMarkov), image,
                        "predictor blob has trailing bytes");
 }
