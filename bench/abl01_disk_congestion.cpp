@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     for (const auto kind : {core::policy::PolicyKind::kNoPrefetch,
                             core::policy::PolicyKind::kNextLimit,
                             core::policy::PolicyKind::kTreeNextLimit}) {
-      sim::SimConfig config;
+      engine::EngineConfig config;
       config.cache_blocks = 1024;
       config.disks = disks;
       // I/O-bound regime: at the paper's T_cpu = 50 ms the CPU hides all

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                            "pf hit rate"});
     for (const trace::Trace* t : bench::load_all_workloads(env)) {
       for (const Rule& rule : rules) {
-        sim::SimConfig config;
+        engine::EngineConfig config;
         // Small cache: ejection pricing only matters when the pool is
         // contended enough that prefetched blocks actually get ejected.
         config.cache_blocks = 256;

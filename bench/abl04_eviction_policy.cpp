@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                          "pf ejections"});
   for (const trace::Trace* t : bench::load_all_workloads(env)) {
     for (const Rule& rule : rules) {
-      sim::SimConfig config;
+      engine::EngineConfig config;
       config.cache_blocks = 1024;
       config.policy = bench::spec_of(core::policy::PolicyKind::kTree);
       config.policy.tree.reclaim = rule.rule;

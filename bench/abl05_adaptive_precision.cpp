@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   for (const trace::Trace* t : bench::load_all_workloads(env)) {
     for (const auto kind : {core::policy::PolicyKind::kTree,
                             core::policy::PolicyKind::kTreeAdaptive}) {
-      sim::SimConfig config;
+      engine::EngineConfig config;
       config.cache_blocks = 1024;
       config.policy = bench::spec_of(kind);
       const auto r = sim::simulate(config, *t);

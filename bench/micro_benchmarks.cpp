@@ -152,7 +152,7 @@ void BM_SnapshotRestore(benchmark::State& state) {
   config.cache_blocks = 1024;
   config.policy.kind = core::policy::PolicyKind::kTreeNextLimit;
   engine::PrefetchEngine trained(config);
-  trained.run_trace(t);
+  trained.access_many(t.blocks());
   std::vector<std::uint8_t> bytes;
   trained.snapshot(bytes);
   std::vector<std::uint8_t> image;
@@ -198,7 +198,7 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   const auto kind =
       static_cast<core::policy::PolicyKind>(state.range(0));
   for (auto _ : state) {
-    sim::SimConfig config;
+    engine::EngineConfig config;
     config.cache_blocks = 1024;
     config.policy.kind = kind;
     benchmark::DoNotOptimize(sim::simulate(config, t));
@@ -239,7 +239,7 @@ void BM_EngineObsOverhead(benchmark::State& state) {
     config.obs.phase_timers = level >= 1;
     config.obs.trace_capacity = level >= 2 ? 4096 : 0;
     engine::PrefetchEngine eng(config);
-    eng.run_trace(t);
+    eng.access_many(t.blocks());
     benchmark::DoNotOptimize(eng.metrics());
     benchmark::DoNotOptimize(eng.stats());
   }
@@ -324,29 +324,6 @@ BENCHMARK(BM_ShardedThroughput)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Push-one hand-off for the same workload and config, kept as the
-// baseline the batched BM_ShardedThroughput is measured against: every
-// reference pays a full try_push + per-access pop on the ring.
-void BM_ShardedThroughputPushOne(benchmark::State& state) {
-  const auto& t = cad_trace();
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    engine::ShardedEngine eng(sharded_bench_config(shards));
-    for (const auto& record : t.records()) {
-      eng.push(record.block);
-    }
-    eng.flush();
-    benchmark::DoNotOptimize(eng.merged_metrics());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(t.size()));
-}
-BENCHMARK(BM_ShardedThroughputPushOne)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // The BENCH_05-era configuration: hash-partitioned block space with one
 // 1024-block buffer budget split across the shards, now on the batched
 // hand-off.  Kept so the predictor-locality tax of key partitioning
@@ -374,11 +351,10 @@ BENCHMARK(BM_ShardedThroughputHashed)
     ->UseRealTime();
 
 // Single-engine batched vs push-one: the same trace fed through
-// access() one block at a time (Arg 0) and through access_many() in one
-// span (Arg 1).  The spread is the per-access setup the batched loop
-// hoists — context build, dispatch resolution, per-access observability
-// publish — with no queues involved; metrics are bit-identical by the
-// access_many() contract.
+// access_many() one block per call (Arg 0) and in one span (Arg 1).  The
+// spread is the per-call setup the batched loop hoists — context build,
+// dispatch resolution, observability publish — with no queues involved;
+// metrics are bit-identical by the access_many() contract.
 void BM_AccessMany(benchmark::State& state) {
   const auto& blocks = cad_blocks();
   const bool batched = state.range(0) != 0;
@@ -390,8 +366,8 @@ void BM_AccessMany(benchmark::State& state) {
     if (batched) {
       benchmark::DoNotOptimize(eng.access_many(blocks));
     } else {
-      for (const trace::BlockId block : blocks) {
-        benchmark::DoNotOptimize(eng.access(block));
+      for (const trace::BlockId& block : blocks) {
+        benchmark::DoNotOptimize(eng.access_many({&block, 1}));
       }
     }
     benchmark::DoNotOptimize(eng.metrics());

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     for (const double t_cpu : {2.0, 20.0, 320.0}) {
       std::vector<std::string> row = {trace::workload_name(w),
                                       util::format_double(t_cpu, 0)};
-      sim::SimConfig config;
+      engine::EngineConfig config;
       config.cache_blocks = blocks;
       config.timing.t_cpu = t_cpu;
       config.policy.kind = core::policy::PolicyKind::kTree;

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   for (const auto kind : {core::policy::PolicyKind::kNoPrefetch,
                           core::policy::PolicyKind::kNextLimit,
                           core::policy::PolicyKind::kTree}) {
-    sim::SimConfig config;
+    engine::EngineConfig config;
     config.cache_blocks = cache_blocks;
     config.policy.kind = kind;
     const auto result = sim::simulate(config, workload);

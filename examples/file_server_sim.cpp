@@ -4,9 +4,9 @@
 // many clients behind a small first-level cache) and reports, for a range
 // of second-level cache sizes, what each prefetching policy buys — the
 // kind of study an operator would run before provisioning RAM.  The study
-// drives engine::PrefetchEngine push-style (the way the file server
-// itself would embed it), then sizes up with engine::ShardedEngine to
-// show what hash-partitioning the block space across cores buys.
+// drives engine::PrefetchEngine through its one entry point,
+// access_many(), then sizes up with engine::ShardedEngine to show what
+// hash-partitioning the block space across cores buys.
 //
 //   $ ./file_server_sim [--refs N] [--clients N] [--csv out.csv]
 //
@@ -18,6 +18,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "engine/prefetch_engine.hpp"
 #include "engine/sharded_engine.hpp"
@@ -66,8 +67,9 @@ int main(int argc, char** argv) {
   policies[2].kind = core::policy::PolicyKind::kTree;
   policies[3].kind = core::policy::PolicyKind::kTreeNextLimit;
 
-  // The sizing grid, driven through the embeddable engine the way the
-  // server would run it: one push per block request.
+  // The sizing grid, driven through the embeddable engine: the whole
+  // workload goes through one access_many() call per configuration.
+  const std::vector<trace::BlockId> blocks = workload.blocks();
   const std::vector<std::size_t> sizes = {256, 512, 1024, 2048, 4096};
   std::vector<sim::Result> results;
   for (const auto& policy : policies) {
@@ -76,9 +78,7 @@ int main(int argc, char** argv) {
       config.cache_blocks = size;
       config.policy = policy;
       engine::PrefetchEngine eng(config);
-      for (const auto& record : workload) {
-        eng.access(record.block);
-      }
+      eng.access_many(blocks);
       sim::Result r;
       r.config = config;
       r.policy_name = eng.prefetcher().name();
@@ -144,9 +144,7 @@ int main(int argc, char** argv) {
     sc.shards = shards;
     engine::ShardedEngine sharded(sc);
     const auto start = std::chrono::steady_clock::now();
-    for (const auto& record : workload) {
-      sharded.push(record.block);
-    }
+    sharded.access_many(blocks);
     sharded.flush();
     const auto elapsed = std::chrono::duration<double, std::milli>(
         std::chrono::steady_clock::now() - start);
@@ -172,9 +170,7 @@ int main(int argc, char** argv) {
     sc.engine.obs.trace_capacity = 4096;
     sc.shards = 4;
     engine::ShardedEngine sharded(sc);
-    for (const auto& record : workload) {
-      sharded.push(record.block);
-    }
+    sharded.access_many(blocks);
     sharded.flush();
 
     std::cout << "\nPrometheus exposition of the sharded run (merged view, "

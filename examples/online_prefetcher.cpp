@@ -2,9 +2,9 @@
 //
 // Most of this repository replays recorded traces; real systems discover
 // their reference stream one access at a time.  This example drives
-// engine::PrefetchEngine exactly like a host block layer would — push one
-// access, get the outcome and its modeled latency — and shows the
-// predictor warming up live.  It then demonstrates persisting the whole
+// engine::PrefetchEngine exactly like a host block layer would — one
+// access_many() call per reference, reading back the outcome and its
+// modeled latency — and shows the predictor warming up live.  It then demonstrates persisting the whole
 // trained engine (predictor tree + cache residency + metrics) with
 // snapshot()/restore() and resuming it, the way a prediction service
 // would survive a restart.
@@ -56,11 +56,9 @@ int main(int argc, char** argv) {
   std::size_t window_count = 0;
   std::size_t window_index = 0;
   for (const auto& record : workload) {
-    const auto result = eng.access(record.block);
+    const auto result = eng.access_many({&record.block, 1});
     window_latency += result.latency_ms;
-    if (result.outcome == engine::Outcome::kMiss) {
-      ++window_misses;
-    }
+    window_misses += result.misses;
     if (++window_count == window) {
       std::cout << "  " << window_index++ << "          "
                 << util::format_percent(
@@ -108,8 +106,8 @@ int main(int argc, char** argv) {
   std::uint64_t hits = 0;
   const std::size_t tail = std::min<std::size_t>(workload.size(), 500);
   for (std::size_t i = workload.size() - tail; i < workload.size(); ++i) {
-    const auto r = resumed.access(workload[i].block);
-    hits += r.outcome != engine::Outcome::kMiss ? 1 : 0;
+    const auto r = resumed.access_many({&workload[i].block, 1});
+    hits += r.demand_hits + r.prefetch_hits;
   }
   std::cout << "replaying the last " << tail
             << " accesses against the restored engine: "

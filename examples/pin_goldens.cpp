@@ -75,7 +75,7 @@ int main() {
   for (const trace::Workload workload : order) {
     const trace::Trace t = trace::make_workload(workload, kReferences, kSeed);
     for (const core::policy::PolicyKind kind : kKinds) {
-      sim::SimConfig config;
+      engine::EngineConfig config;
       config.cache_blocks = kCacheBlocks;
       config.policy.kind = kind;
       const sim::Result r = sim::simulate(config, t);

@@ -65,7 +65,7 @@ void demo_simulation() {
 
   for (const auto kind : {core::policy::PolicyKind::kNoPrefetch,
                           core::policy::PolicyKind::kTree}) {
-    sim::SimConfig config;
+    engine::EngineConfig config;
     config.cache_blocks = 32;
     config.policy.kind = kind;
     const auto result = sim::simulate(config, workload);

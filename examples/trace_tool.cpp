@@ -93,7 +93,7 @@ int cmd_simulate(int argc, char** argv) {
     return 2;
   }
   const auto t = trace::read_file(path);
-  sim::SimConfig config;
+  engine::EngineConfig config;
   config.cache_blocks = static_cast<std::size_t>(options.u64("cache"));
   config.timing.t_cpu = options.real("tcpu");
   config.policy.kind =

@@ -332,7 +332,7 @@ class LayeringRule(LintHarness):
 
     def test_engine_including_sim_cpp_fires(self) -> None:
         found = self.lint_file(
-            "src/engine/bad.cpp", '#include "sim/metrics.hpp"\n')
+            "src/engine/bad.cpp", '#include "sim/simulator.hpp"\n')
         self.assertIn("layering", self.rules(found))
 
     def test_engine_including_core_is_fine(self) -> None:

@@ -2,13 +2,13 @@
 //
 // The simulator owns the caches, timing model and estimators; policies
 // receive them by reference through this context plus a metrics sink for
-// the instrumentation the paper's figures need.  `upcoming` exposes the
-// rest of the trace for oracle policies (perfect-selector, Section 9.5);
-// honest policies never read it.
+// the instrumentation the paper's figures need.  `next_block` exposes the
+// next reference, when the driver knows it, for the oracle policy
+// (perfect-selector, Section 9.5); honest policies never read it.
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <optional>
 
 #include "cache/buffer_cache.hpp"
 #include "cache/disk_model.hpp"
@@ -60,8 +60,9 @@ struct Context {
   std::uint64_t period = 0;
   /// Simulator virtual time at the start of this access period (ms).
   double now_ms = 0.0;
-  /// Trace records after the one being processed (oracle policies only).
-  std::span<const trace::TraceRecord> upcoming{};
+  /// The reference after the one being processed, if the driver knows
+  /// it (oracle policies only).
+  std::optional<BlockId> next_block{};
   /// Phase-latency stopwatch (docs/observability.md); policies stamp
   /// stage boundaries via util::phase_mark.  Null when the driver is not
   /// instrumented; never influences any decision.

@@ -14,8 +14,8 @@ void PerfectSelector::on_access(BlockId block, AccessOutcome outcome,
                                 Context& ctx) {
   observe_access(block, outcome, ctx);
   std::uint32_t issued = 0;
-  if (!ctx.upcoming.empty()) {
-    const BlockId next = ctx.upcoming.front().block;
+  if (ctx.next_block.has_value()) {
+    const BlockId next = *ctx.next_block;
     const tree::NodeId current = tree_.current();
     const tree::NodeId child = tree_.find_child(current, next);
     ++ctx.metrics.candidates_chosen;

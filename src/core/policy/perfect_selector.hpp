@@ -1,6 +1,6 @@
 // perfect-selector: the Section 9.5 oracle bound on selection quality.
 //
-// Knows the next trace reference (via Context::upcoming) and prefetches
+// Knows the next trace reference (via Context::next_block) and prefetches
 // it if and only if the tree identifies it as predictable — i.e. perfect
 // *selection* among the tree's candidates, with unchanged *prediction*.
 // The gap between this and plain tree measures how much better candidate

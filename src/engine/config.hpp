@@ -1,9 +1,7 @@
 // Engine configuration: everything a PrefetchEngine needs to run.
 //
-// Historically this struct lived in the simulator (sim::SimConfig); the
-// engine extraction moved it below the sim layer so embedding hosts can
-// construct engines without pulling in the trace-replay harness.
-// sim::SimConfig remains as an alias for source compatibility.
+// It lives below the sim layer so embedding hosts can construct engines
+// without pulling in the trace-replay harness.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,6 @@
 // Per-run metrics and the derived quantities the paper reports.
 //
-// Lived in sim/ until the engine extraction; the engine accumulates them
-// per access, the sim drivers only read them.  sim::Metrics remains as an
-// alias for source compatibility.
+// The engine accumulates them per access; the sim drivers only read them.
 #pragma once
 
 #include <cstdint>

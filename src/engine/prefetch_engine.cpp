@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
@@ -17,7 +18,7 @@ using core::policy::Context;
 
 namespace {
 
-// Qualified-call proxy for the devirtualized run_trace() loops: `P` is
+// Qualified-call proxy for the devirtualized access_many() loop: `P` is
 // the exact dynamic type (asserted at dispatch), so P::member calls skip
 // the vtable and can inline.  Works for non-final policies too — kTree
 // maps to a TreeCostBenefit object even though subclasses of it exist.
@@ -33,8 +34,7 @@ struct Direct {
   }
 };
 
-// Vtable proxy: the push/step paths and the fallback for policy kinds
-// without a dedicated loop.
+// Vtable proxy: the fallback for policy kinds without a dedicated loop.
 struct Virtual {
   core::policy::Prefetcher& p;
   void on_access(trace::BlockId block, AccessOutcome outcome, Context& ctx) {
@@ -109,14 +109,15 @@ void PrefetchEngine::write_chrome_trace(std::ostream& out) const {
 }
 
 template <typename PolicyRef>
-AccessOutcome PrefetchEngine::step_one(
-    PolicyRef policy, trace::BlockId block, std::uint64_t period,
-    std::span<const trace::TraceRecord> upcoming, Context& ctx,
-    [[maybe_unused]] bool publish_each) {
+AccessOutcome PrefetchEngine::step_one(PolicyRef policy, trace::BlockId block,
+                                       std::optional<trace::BlockId> next,
+                                       Context& ctx) {
   const double period_start = metrics_.elapsed_ms;
-  ctx.period = period;
+  // Periods are numbered by the running access counter, so a stream
+  // split into calls of any size numbers them the same way.
+  ctx.period = metrics_.accesses;
   ctx.now_ms = period_start;
-  ctx.upcoming = upcoming;
+  ctx.next_block = next;
   phase_clock_.start();
 #ifdef PFP_OBS
   const bool tracing = obs_.ring().enabled();
@@ -179,8 +180,8 @@ AccessOutcome PrefetchEngine::step_one(
   metrics_.elapsed_ms +=
       static_cast<double>(issued) * config_.timing.t_driver;
 
-  // Keep the disk aggregates current so push-style users see fresh
-  // metrics without a run epilogue.
+  // Keep the disk aggregates current so callers see fresh metrics
+  // without a run epilogue.
   metrics_.disk_queue_delay_ms = disks_.queue_delay_ms();
   metrics_.disk_requests = disks_.requests();
   // Closes the policy turn: for tree policies this spans the issue loop
@@ -188,9 +189,6 @@ AccessOutcome PrefetchEngine::step_one(
   phase_clock_.mark(util::EnginePhase::kIssue);
 
 #ifdef PFP_OBS
-  if (publish_each) {
-    publish_observability();
-  }
   if (tracing) {
     // Same single-threaded contract as publish_observability(): this
     // thread is the ring's unique writer.
@@ -228,121 +226,52 @@ AccessOutcome PrefetchEngine::step_one(
   return outcome;
 }
 
-AccessResult PrefetchEngine::access(trace::BlockId block) {
-  Context ctx = make_context();
-  const double elapsed_before = metrics_.elapsed_ms;
-  const AccessOutcome outcome =
-      step_one(Virtual{*policy_}, block, metrics_.accesses, {}, ctx);
-
-  AccessResult result;
-  switch (outcome) {
-    case AccessOutcome::kDemandHit:
-      result.outcome = Outcome::kDemandHit;
-      break;
-    case AccessOutcome::kPrefetchHit:
-      result.outcome = Outcome::kPrefetchHit;
-      break;
-    case AccessOutcome::kMiss:
-      result.outcome = Outcome::kMiss;
-      break;
-  }
-  // Everything the period charged except the caller's own compute.
-  result.latency_ms =
-      metrics_.elapsed_ms - elapsed_before - config_.timing.t_cpu;
-  return result;
-}
-
-void PrefetchEngine::step(const trace::Trace& trace, std::size_t index) {
-  Context ctx = make_context();
-  step_one(Virtual{*policy_}, trace[index].block, index,
-           trace.records().subspan(index + 1), ctx);
-}
-
 template <typename PolicyRef>
 void PrefetchEngine::run_blocks(PolicyRef policy,
                                 std::span<const trace::BlockId> blocks,
+                                std::span<const trace::BlockId> lookahead,
                                 Context& ctx) {
   // The batched inner loop: per-access setup (Context build, policy
   // dispatch, observability publish) is hoisted to the batch boundary.
-  // `period` is the running access counter — exactly what the push-one
-  // path passes — so batched and push-one streams are bit-identical.
-  for (const trace::BlockId block : blocks) {
-    step_one(policy, block, metrics_.accesses, {}, ctx,
-             /*publish_each=*/false);
+  const std::size_t n = blocks.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::optional<trace::BlockId> next;
+    if (i + 1 < n) {
+      next = blocks[i + 1];
+    } else if (!lookahead.empty()) {
+      next = lookahead.front();
+    }
+    step_one(policy, blocks[i], next, ctx);
   }
   publish_observability();
 }
 
 BatchResult PrefetchEngine::access_many(
-    std::span<const trace::BlockId> blocks) {
-  const Metrics before = metrics_;
+    std::span<const trace::BlockId> blocks,
+    std::span<const trace::BlockId> lookahead) {
+  const std::uint64_t demand_hits = metrics_.demand_hits;
+  const std::uint64_t prefetch_hits = metrics_.prefetch_hits;
+  const std::uint64_t misses = metrics_.misses;
+  const double elapsed_ms = metrics_.elapsed_ms;
   Context ctx = make_context();
   core::policy::dispatch_kind(config_.policy.kind, [&](auto tag) {
     using PolicyT = typename decltype(tag)::type;
     if constexpr (std::is_same_v<PolicyT, core::policy::Prefetcher>) {
-      run_blocks(Virtual{*policy_}, blocks, ctx);  // vtable fallback
+      run_blocks(Virtual{*policy_}, blocks, lookahead, ctx);  // vtable
     } else {
       PFP_DASSERT(typeid(*policy_) == typeid(PolicyT));
       run_blocks(Direct<PolicyT>{static_cast<PolicyT&>(*policy_)}, blocks,
-                 ctx);
+                 lookahead, ctx);
     }
   });
 
   BatchResult result;
-  result.demand_hits = metrics_.demand_hits - before.demand_hits;
-  result.prefetch_hits = metrics_.prefetch_hits - before.prefetch_hits;
-  result.misses = metrics_.misses - before.misses;
-  result.latency_ms =
-      metrics_.elapsed_ms - before.elapsed_ms -
-      static_cast<double>(blocks.size()) * config_.timing.t_cpu;
+  result.demand_hits = metrics_.demand_hits - demand_hits;
+  result.prefetch_hits = metrics_.prefetch_hits - prefetch_hits;
+  result.misses = metrics_.misses - misses;
+  result.latency_ms = metrics_.elapsed_ms - elapsed_ms -
+                      static_cast<double>(blocks.size()) * config_.timing.t_cpu;
   return result;
-}
-
-template <typename PolicyRef>
-void PrefetchEngine::run_loop(PolicyRef policy, const trace::Trace& trace) {
-  // One Context for the whole run; step_one refreshes the per-period
-  // fields (period, now_ms, upcoming) instead of rebuilding the struct
-  // of references every access.
-  Context ctx = make_context();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    step_one(policy, trace[i].block, i, trace.records().subspan(i + 1),
-             ctx);
-  }
-}
-
-template <typename PolicyT>
-void PrefetchEngine::run_as(const trace::Trace& trace) {
-  PFP_DASSERT(typeid(*policy_) == typeid(PolicyT));
-  run_loop(Direct<PolicyT>{static_cast<PolicyT&>(*policy_)}, trace);
-}
-
-void PrefetchEngine::run_trace(const trace::Trace& trace) {
-  // Fast path: replay through the batched loop.  Valid whenever the
-  // per-index state run_loop supplies is reproducible without the trace:
-  // `period` (the trace index) must equal the running access counter —
-  // true exactly when the engine starts fresh — and `upcoming` must be
-  // dead, which holds for every policy except the oracle
-  // perfect-selector (the only ctx.upcoming consumer).  Bit-identical on
-  // this path by the access_many contract; anything else replays through
-  // the indexed loop below.
-  if (metrics_.accesses == 0 &&
-      config_.policy.kind != core::policy::PolicyKind::kPerfectSelector) {
-    std::vector<trace::BlockId> blocks;
-    blocks.reserve(trace.size());
-    for (const trace::TraceRecord& record : trace.records()) {
-      blocks.push_back(record.block);
-    }
-    access_many(blocks);
-    return;
-  }
-  core::policy::dispatch_kind(config_.policy.kind, [&](auto tag) {
-    using PolicyT = typename decltype(tag)::type;
-    if constexpr (std::is_same_v<PolicyT, core::policy::Prefetcher>) {
-      run_loop(Virtual{*policy_}, trace);  // unknown kind: vtable fallback
-    } else {
-      run_as<PolicyT>(trace);
-    }
-  });
 }
 
 void PrefetchEngine::snapshot(std::vector<std::uint8_t>& out) const {

@@ -52,6 +52,14 @@ ShardedConfig validated(ShardedConfig config) {
         "ShardedConfig: kRebalance re-routes by key; run routing has no "
         "per-key shard affinity to rebalance");
   }
+  if (config.engine.policy.kind ==
+      core::policy::PolicyKind::kPerfectSelector) {
+    // The oracle sees the next reference only within a worker's run, and
+    // where runs are cut depends on thread timing.
+    throw std::invalid_argument(
+        "ShardedConfig: perfect-selector needs the whole future stream and "
+        "cannot run sharded");
+  }
   validate(config.engine);
   return config;
 }
@@ -88,8 +96,8 @@ ShardedEngine::~ShardedEngine() {
     try {
       future.get();
     } catch (...) {
-      // Worker exceptions (none expected: access() doesn't throw after
-      // construction) must not escape a destructor.
+      // Worker exceptions (none expected: access_many() doesn't throw
+      // after construction) must not escape a destructor.
     }
   }
 }
@@ -129,32 +137,12 @@ std::uint32_t ShardedEngine::route(trace::BlockId block) {
   }
   if (config_.routing == Routing::kRuns) {
     // Deal the stream out in run_length-sized slices: a pure function of
-    // the reference's position, shared by push() and access_many(), so
-    // the partition is identical across any mix of entry points.
+    // the reference's position, so the partition does not depend on how
+    // the stream is split into access_many() calls.
     return static_cast<std::uint32_t>((routed_++ / config_.run_length) %
                                       shards_.size());
   }
   return shard_of(block);
-}
-
-void ShardedEngine::push(trace::BlockId block) {
-  Shard& shard = *shards_[route(block)];
-  // This thread is the engine's unique producer (class contract); it
-  // plays the producer role for every shard queue and is the single
-  // writer of the backpressure counter.
-  shard.queue.assert_producer();
-  shard.push_waits.assert_writer();
-  if (!shard.staged.empty()) {
-    // FIFO across mixed entry points: residue access_many() staged for
-    // this shard predates this reference, so it goes to the ring first.
-    flush_staged(shard);
-  }
-  util::Backoff backoff;
-  while (!shard.queue.try_push(block)) {
-    shard.push_waits.inc();  // off the steady-state path: full queue only
-    backoff.wait();  // backpressure: consumer is behind
-  }
-  ++shard.pushed;
 }
 
 void ShardedEngine::access_many(std::span<const trace::BlockId> blocks) {

@@ -28,22 +28,19 @@
 // metrics are a deterministic, completion-order-independent fold of the
 // per-shard metrics.
 //
-//   engine::ShardedEngine eng(config);       // spawns the shard workers
-//   for (...) eng.push(next_block());        // routes to shard queues
-//   eng.flush();                             // waits for queues to drain
+//   engine::ShardedEngine eng(config);  // spawns the shard workers
+//   eng.access_many(blocks);            // routes runs to shard queues
+//   eng.flush();                        // waits for queues to drain
 //   const auto merged = eng.merged_metrics();
 //
-// The batched hand-off (docs/perf.md, "Batched hand-off") is the fast
-// path: access_many() routes a whole span into per-shard staging
-// buffers and flushes each shard's run to its ring in one bulk
-// transaction, so the per-element synchronization cost collapses to
-// 1/run-length of push()'s.  Staged residue is flushed by drain()
-// (also implied by flush(), push() to the same shard, and the
-// destructor).
+// access_many() routes a whole span into per-shard staging buffers and
+// flushes each shard's run to its ring in one bulk transaction
+// (docs/perf.md, "Batched hand-off"); a host with one reference at a
+// time passes a one-element span.  Staged residue is flushed by drain()
+// (also implied by flush() and the destructor).
 //
-// push(), access_many(), drain(), flush() and the metrics accessors
-// must be called from one producer thread; the shards consume
-// concurrently.
+// access_many(), drain(), flush() and the metrics accessors must be
+// called from one producer thread; the shards consume concurrently.
 #pragma once
 
 #include <atomic>
@@ -77,8 +74,8 @@ enum class Routing {
   /// round-robin: shard k processes runs k, k+shards, ...  Preserves
   /// reference-order locality per shard and makes every run one bulk
   /// ring transaction; blocks may be cached by several shards.
-  /// Deterministic in the stream position alone, across any mix of
-  /// push() and access_many() calls.
+  /// Deterministic in the stream position alone, however the stream is
+  /// split into access_many() calls.
   kRuns,
 };
 
@@ -164,20 +161,14 @@ class ShardedEngine {
   /// Routing::kRuns ignores it entirely.
   [[nodiscard]] std::uint32_t shard_of(trace::BlockId block) const noexcept;
 
-  /// Routes one reference to its shard's queue, waiting with bounded
-  /// exponential backoff (util::Backoff — spin tiers, then yield) when
-  /// the queue is full.  Any staged residue access_many() left for that
-  /// shard is flushed first, so the shard's FIFO order holds across
-  /// mixed push()/access_many() use.  Producer thread only.
-  void push(trace::BlockId block);
-
-  /// Batched entry point: routes the whole span into per-shard staging
+  /// The only entry point: routes the whole span into per-shard staging
   /// buffers and hands each shard's run to its ring in bulk
   /// transactions of flush_threshold_{min..max} records (adaptive; see
-  /// ShardedConfig).  Up to flush_threshold_max - 1 references per
-  /// shard may remain staged on return — call drain() (or flush()) to
-  /// force them out.  Same ordering guarantee as push(): each shard
-  /// sees its sub-stream in producer order.  Producer thread only.
+  /// ShardedConfig), waiting with bounded exponential backoff
+  /// (util::Backoff — spin tiers, then yield) while a ring is full.  Up
+  /// to flush_threshold_max - 1 references per shard may remain staged
+  /// on return — call drain() (or flush()) to force them out.  Each
+  /// shard sees its sub-stream in producer order.  Producer thread only.
   void access_many(std::span<const trace::BlockId> blocks);
 
   /// Flushes every shard's staged residue to its ring (waiting out
@@ -217,7 +208,7 @@ class ShardedEngine {
  private:
   // The caller-thread / shard-thread method partition is machine-checked
   // through the queue's role capabilities (thread_annotations.hpp):
-  // push()/flush() assert and require the producer role of the shard
+  // access_many()/flush() assert and require the producer role of the shard
   // queues they touch, worker() the consumer role.  A new method that
   // reads producer-guarded state (e.g. `pushed`) from a worker — or vice
   // versa — fails the -Werror=thread-safety CI leg.
@@ -235,7 +226,7 @@ class ShardedEngine {
     std::atomic<std::uint64_t> processed{0};
     /// Accesses handed to the ring (staged residue not yet counted);
     /// producer-thread-only, no atomics needed.
-    // writers: producer thread (push/flush_staged)  readers: producer thread
+    // writers: producer thread (flush_staged)  readers: producer thread
     std::uint64_t pushed PFP_GUARDED_BY(queue.producer_role) = 0;
     /// access_many() staging buffer: routed references parked here until
     /// the run reaches flush_threshold, then handed to the ring in one
@@ -247,9 +238,8 @@ class ShardedEngine {
     /// the worker keeps up).
     // writers: producer thread (flush_staged)  readers: producer thread
     std::size_t flush_threshold PFP_GUARDED_BY(queue.producer_role);
-    /// Backoff waits the producer burned on a full queue (push or bulk
-    /// flush); producer-written, scraper-read (single-writer Counter
-    /// contract).
+    /// Backoff waits the producer burned on a full queue (bulk flush);
+    /// producer-written, scraper-read (single-writer Counter contract).
     obs::Counter push_waits;
   };
 

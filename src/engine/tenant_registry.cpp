@@ -36,6 +36,11 @@ TenantStatus set_policy_by_name(TenantConfig& config, const std::string& name,
 }
 
 Tenant::Tenant(TenantConfig config) : config_(std::move(config)) {
+  if (config_.engine.policy.kind ==
+      core::policy::PolicyKind::kPerfectSelector) {
+    throw std::invalid_argument(
+        "perfect-selector needs future knowledge and cannot serve a tenant");
+  }
   if (config_.shards >= 2) {
     sharded_ = std::make_unique<ShardedEngine>(sharded_config(config_));
   } else {
@@ -44,11 +49,15 @@ Tenant::Tenant(TenantConfig config) : config_(std::move(config)) {
 }
 
 AccessResult Tenant::access(trace::BlockId block) {
-  if (sharded_) {
-    sharded_->push(block);
-    return AccessResult{};
+  const BatchResult batch = access_many({&block, 1});
+  AccessResult result;
+  if (batch.demand_hits != 0) {
+    result.outcome = Outcome::kDemandHit;
+  } else if (batch.prefetch_hits != 0) {
+    result.outcome = Outcome::kPrefetchHit;
   }
-  return engine_->access(block);
+  result.latency_ms = batch.latency_ms;
+  return result;
 }
 
 BatchResult Tenant::access_many(std::span<const trace::BlockId> blocks) {

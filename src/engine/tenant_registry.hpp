@@ -44,6 +44,17 @@
 
 namespace pfp::engine {
 
+/// What one access did.  Tenant::access is the only producer; the
+/// served-path benchmark (servebench/) is its caller, which is why the
+/// one-access projection survives next to access_many.
+enum class Outcome { kDemandHit, kPrefetchHit, kMiss };
+
+struct AccessResult {
+  Outcome outcome = Outcome::kMiss;
+  /// Modeled latency of this access (ms); see BatchResult::latency_ms.
+  double latency_ms = 0.0;
+};
+
 /// Typed lifecycle outcomes (the wire layer maps these onto its error
 /// vocabulary one-to-one).
 enum class TenantStatus {
@@ -79,7 +90,10 @@ TenantStatus set_policy_by_name(TenantConfig& config, const std::string& name,
 class Tenant {
  public:
   /// Builds the engine(s); throws std::invalid_argument on a bad config
-  /// (the registry turns that into kBadConfig before construction).
+  /// (the registry turns that into kBadConfig before construction).  The
+  /// oracle perfect-selector is a bad config here: a tenant never sees
+  /// its future stream, and a batch's look-ahead would make its results
+  /// depend on how the client sizes its batches.
   explicit Tenant(TenantConfig config);
 
   [[nodiscard]] const std::string& name() const noexcept {
@@ -96,9 +110,9 @@ class Tenant {
     return mu_;
   }
 
-  /// One access through the tenant's state machine.  Sharded tenants
-  /// route asynchronously: the result is empty (async() semantics as in
-  /// access_many).
+  /// One access: a one-element access_many() projected onto its
+  /// outcome.  Sharded tenants route asynchronously, so their result is
+  /// empty (a kMiss with zero latency), as access_many's counts are.
   AccessResult access(trace::BlockId block) PFP_REQUIRES(mu_);
 
   /// A whole batch.  Plain tenants run it synchronously and return exact

@@ -113,17 +113,15 @@ wire::FrameHeader Session::reply_header(const wire::FrameHeader& request,
   return header;
 }
 
-void Session::reply(const wire::FrameHeader& request, wire::MsgType type,
-                    std::uint8_t flags,
-                    std::span<const std::uint8_t> payload) {
-  wire::append_frame(out_, reply_header(request, type, flags), payload);
+void Session::reply(const wire::FrameHeader& request, wire::MsgType type) {
+  wire::append_frame(out_, reply_header(request, type, 0), {});
 }
 
 void Session::reply_error(const wire::FrameHeader& request,
                           wire::ErrorCode code, std::string_view detail) {
-  std::vector<std::uint8_t> payload;
-  wire::encode_error(payload, wire::ErrorReply{code, std::string(detail)});
-  reply(request, wire::MsgType::kError, 0, payload);
+  const std::size_t at = wire::begin_frame(out_);
+  wire::encode_error(out_, wire::ErrorReply{code, std::string(detail)});
+  wire::end_frame(out_, at, reply_header(request, wire::MsgType::kError, 0));
   ++errors_sent_;
 }
 
@@ -137,7 +135,7 @@ void Session::handle_frame(const wire::Frame& frame) {
                     "PING carries no payload");
         return;
       }
-      reply(h, wire::MsgType::kPingReply, 0, {});
+      reply(h, wire::MsgType::kPingReply);
       return;
     case wire::MsgType::kTenantOpen:
       handle_tenant_open(frame);
@@ -164,8 +162,6 @@ void Session::handle_frame(const wire::Frame& frame) {
   }
   switch (h.type) {
     case wire::MsgType::kAccess:
-      handle_access(frame, *tenant);
-      return;
     case wire::MsgType::kAccessMany:
       handle_access_many(frame, *tenant);
       return;
@@ -209,7 +205,7 @@ void Session::handle_tenant_open(const wire::Frame& frame) {
     reply_error(frame.header, to_wire(status), detail);
     return;
   }
-  reply(frame.header, wire::MsgType::kTenantOpenReply, 0, {});
+  reply(frame.header, wire::MsgType::kTenantOpenReply);
 }
 
 void Session::handle_tenant_close(const wire::Frame& frame) {
@@ -223,91 +219,65 @@ void Session::handle_tenant_close(const wire::Frame& frame) {
     reply_error(frame.header, to_wire(status), "tenant id not open");
     return;
   }
-  reply(frame.header, wire::MsgType::kTenantCloseReply, 0, {});
-}
-
-void Session::handle_access(const wire::Frame& frame,
-                            engine::Tenant& tenant) {
-  wire::Reader reader(frame.payload);
-  const trace::BlockId block = reader.read_u64();
-  if (!reader.exhausted()) {
-    reply_error(frame.header, wire::ErrorCode::kBadPayload,
-                "ACCESS payload is one u64 block id");
-    return;
-  }
-  engine::AccessResult result;
-  {
-    util::MutexLock lock(tenant.mu());
-    result = tenant.access(block);
-  }
-  wire::BatchReply batch;
-  std::uint8_t flags = 0;
-  if (tenant.sharded()) {
-    // Routed asynchronously; counts are unknown until the shard drains.
-    flags |= wire::kFlagAsync;
-  } else {
-    switch (result.outcome) {
-      case engine::Outcome::kDemandHit:
-        batch.demand_hits = 1;
-        break;
-      case engine::Outcome::kPrefetchHit:
-        batch.prefetch_hits = 1;
-        break;
-      case engine::Outcome::kMiss:
-        batch.misses = 1;
-        break;
-    }
-    batch.latency_ms = result.latency_ms;
-  }
-  if (tenant.queue_pressure() >= config_.pressure_threshold) {
-    flags |= wire::kFlagBackpressure;
-  }
-  std::vector<std::uint8_t> payload;
-  wire::encode_batch_reply(payload, batch);
-  reply(frame.header, wire::MsgType::kAccessReply, flags, payload);
+  reply(frame.header, wire::MsgType::kTenantCloseReply);
 }
 
 void Session::handle_access_many(const wire::Frame& frame,
                                  engine::Tenant& tenant) {
+  // ACCESS is an ACCESS_MANY of one without the count: both decode into
+  // batch_, take one engine call and share one reply path.
+  const bool many = frame.header.type == wire::MsgType::kAccessMany;
   wire::Reader reader(frame.payload);
-  const std::uint32_t count = reader.read_u32();
-  if (!reader.ok() || reader.remaining() != std::size_t{count} * 8) {
-    reply_error(frame.header, wire::ErrorCode::kBadPayload,
-                "ACCESS_MANY count does not match payload length");
-    return;
-  }
-  if (count > config_.max_batch) {
-    // Hard, deterministic reject: depends only on the frame, never on
-    // load, so a client can size batches once and trust them forever.
-    reply_error(frame.header, wire::ErrorCode::kBackpressure,
-                "batch exceeds max_batch; split and retry");
-    return;
-  }
   batch_.clear();
-  batch_.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  if (many) {
+    const std::uint32_t count = reader.read_u32();
+    if (!reader.ok() || reader.remaining() != std::size_t{count} * 8) {
+      reply_error(frame.header, wire::ErrorCode::kBadPayload,
+                  "ACCESS_MANY count does not match payload length");
+      return;
+    }
+    if (count > config_.max_batch) {
+      // Hard, deterministic reject: depends only on the frame, never on
+      // load, so a client can size batches once and trust them forever.
+      reply_error(frame.header, wire::ErrorCode::kBackpressure,
+                  "batch exceeds max_batch; split and retry");
+      return;
+    }
+    batch_.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      batch_.push_back(reader.read_u64());
+    }
+  } else {
     batch_.push_back(reader.read_u64());
+    if (!reader.exhausted()) {
+      reply_error(frame.header, wire::ErrorCode::kBadPayload,
+                  "ACCESS payload is one u64 block id");
+      return;
+    }
   }
   engine::BatchResult result;
   {
     util::MutexLock lock(tenant.mu());
     result = tenant.access_many(batch_);
   }
-  wire::BatchReply batch;
-  batch.demand_hits = result.demand_hits;
-  batch.prefetch_hits = result.prefetch_hits;
-  batch.misses = result.misses;
-  batch.latency_ms = result.latency_ms;
   std::uint8_t flags = 0;
   if (tenant.sharded()) {
+    // Routed asynchronously; the counts stay zero until STATS flushes.
     flags |= wire::kFlagAsync;
   }
   if (tenant.queue_pressure() >= config_.pressure_threshold) {
     flags |= wire::kFlagBackpressure;
   }
-  std::vector<std::uint8_t> payload;
-  wire::encode_batch_reply(payload, batch);
-  reply(frame.header, wire::MsgType::kAccessManyReply, flags, payload);
+  const std::size_t at = wire::begin_frame(out_);
+  wire::encode_batch_reply(
+      out_, wire::BatchReply{result.demand_hits, result.prefetch_hits,
+                             result.misses, result.latency_ms});
+  wire::end_frame(
+      out_, at,
+      reply_header(frame.header,
+                   many ? wire::MsgType::kAccessManyReply
+                        : wire::MsgType::kAccessReply,
+                   flags));
 }
 
 void Session::handle_stats(const wire::Frame& frame,
@@ -322,9 +292,10 @@ void Session::handle_stats(const wire::Frame& frame,
     util::MutexLock lock(tenant.mu());
     metrics = tenant.metrics();
   }
-  std::vector<std::uint8_t> payload;
-  wire::encode_metrics(payload, to_wire_metrics(metrics));
-  reply(frame.header, wire::MsgType::kStatsReply, 0, payload);
+  const std::size_t at = wire::begin_frame(out_);
+  wire::encode_metrics(out_, to_wire_metrics(metrics));
+  wire::end_frame(out_, at,
+                  reply_header(frame.header, wire::MsgType::kStatsReply, 0));
 }
 
 void Session::handle_snapshot(const wire::Frame& frame,
@@ -370,7 +341,7 @@ void Session::handle_restore(const wire::Frame& frame,
     reply_error(frame.header, to_wire(status), detail);
     return;
   }
-  reply(frame.header, wire::MsgType::kRestoreReply, 0, {});
+  reply(frame.header, wire::MsgType::kRestoreReply);
 }
 
 }  // namespace pfp::server

@@ -92,15 +92,16 @@ class Session {
   [[nodiscard]] static wire::FrameHeader reply_header(
       const wire::FrameHeader& request, wire::MsgType type,
       std::uint8_t flags);
-  void reply(const wire::FrameHeader& request, wire::MsgType type,
-             std::uint8_t flags, std::span<const std::uint8_t> payload);
+  /// Queues a reply with no payload.  Replies with a payload are encoded
+  /// straight into out_ between wire::begin_frame and wire::end_frame.
+  void reply(const wire::FrameHeader& request, wire::MsgType type);
   void reply_error(const wire::FrameHeader& request, wire::ErrorCode code,
                    std::string_view detail);
 
   // Per-type handlers; `tenant` is pre-resolved for the tenant-scoped ops.
   void handle_tenant_open(const wire::Frame& frame);
   void handle_tenant_close(const wire::Frame& frame);
-  void handle_access(const wire::Frame& frame, engine::Tenant& tenant);
+  /// ACCESS and ACCESS_MANY; only the payload shape and reply type differ.
   void handle_access_many(const wire::Frame& frame, engine::Tenant& tenant);
   void handle_stats(const wire::Frame& frame, engine::Tenant& tenant);
   void handle_snapshot(const wire::Frame& frame, engine::Tenant& tenant);
@@ -114,7 +115,7 @@ class Session {
   bool fatal_ = false;
   std::uint64_t frames_handled_ = 0;
   std::uint64_t errors_sent_ = 0;
-  // Scratch batch buffer, reused across ACCESS_MANY frames.
+  // Scratch batch buffer, reused across ACCESS/ACCESS_MANY frames.
   std::vector<trace::BlockId> batch_;
 };
 

@@ -19,7 +19,7 @@ const std::vector<std::size_t>& default_cache_sizes();
 /// One simulation request; Sweep runs batches of these.
 struct RunSpec {
   const trace::Trace* trace = nullptr;  ///< non-owning; outlives the run
-  SimConfig config;
+  engine::EngineConfig config;
 };
 
 /// Runs specs sequentially (see sweep.hpp for the threaded variant).

@@ -3,7 +3,7 @@
 namespace pfp::sim {
 
 Result Simulator::run(const trace::Trace& trace) {
-  engine_.run_trace(trace);
+  engine_.access_many(trace.blocks());
   Result result;
   result.config = engine_.config();
   result.policy_name = engine_.prefetcher().name();
@@ -12,7 +12,7 @@ Result Simulator::run(const trace::Trace& trace) {
   return result;
 }
 
-Result simulate(const SimConfig& config, const trace::Trace& trace) {
+Result simulate(const engine::EngineConfig& config, const trace::Trace& trace) {
   Simulator simulator(config);
   return simulator.run(trace);
 }

@@ -10,37 +10,31 @@
 #include <string>
 
 #include "engine/prefetch_engine.hpp"
-#include "sim/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace pfp::sim {
 
-/// The simulator's configuration is exactly the engine's; kept under the
-/// historical name so existing experiment/test code compiles unchanged.
-using SimConfig = engine::EngineConfig;
-
 struct Result {
-  SimConfig config;
+  engine::EngineConfig config;
   std::string policy_name;
   std::string trace_name;
-  Metrics metrics;
+  engine::Metrics metrics;
 };
 
 class Simulator {
  public:
-  explicit Simulator(SimConfig config) : engine_(config) {}
+  explicit Simulator(const engine::EngineConfig& config) : engine_(config) {}
 
-  /// Runs the whole trace; the simulator is single-use.
+  /// Replays the whole trace as one engine access_many() call; the
+  /// simulator is single-use.
   Result run(const trace::Trace& trace);
 
-  /// Access to live state mid-run (tests drive step() directly).
-  void step(const trace::Trace& trace, std::size_t index) {
-    engine_.step(trace, index);
-  }
   [[nodiscard]] const cache::BufferCache& buffer_cache() const {
     return engine_.buffer_cache();
   }
-  [[nodiscard]] const Metrics& metrics() const { return engine_.metrics(); }
+  [[nodiscard]] const engine::Metrics& metrics() const {
+    return engine_.metrics();
+  }
   [[nodiscard]] const core::policy::Prefetcher& prefetcher() const {
     return engine_.prefetcher();
   }
@@ -56,6 +50,6 @@ class Simulator {
 };
 
 /// Convenience: build and run in one call.
-Result simulate(const SimConfig& config, const trace::Trace& trace);
+Result simulate(const engine::EngineConfig& config, const trace::Trace& trace);
 
 }  // namespace pfp::sim

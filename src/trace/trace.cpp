@@ -4,6 +4,15 @@
 
 namespace pfp::trace {
 
+std::vector<BlockId> Trace::blocks() const {
+  std::vector<BlockId> out;
+  out.reserve(records_.size());
+  for (const auto& r : records_) {
+    out.push_back(r.block);
+  }
+  return out;
+}
+
 std::size_t Trace::unique_blocks() const {
   std::unordered_set<BlockId> seen;
   seen.reserve(records_.size() / 4 + 16);

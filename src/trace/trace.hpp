@@ -39,6 +39,9 @@ class Trace {
   [[nodiscard]] auto begin() const noexcept { return records_.begin(); }
   [[nodiscard]] auto end() const noexcept { return records_.end(); }
 
+  /// The referenced blocks in order, the form the engine replays.
+  [[nodiscard]] std::vector<BlockId> blocks() const;
+
   /// Number of distinct blocks referenced (O(n) scan).
   [[nodiscard]] std::size_t unique_blocks() const;
 

@@ -13,7 +13,7 @@
 namespace pfp::core::policy {
 namespace {
 
-using sim::SimConfig;
+using engine::EngineConfig;
 using sim::simulate;
 using trace::BlockId;
 using trace::Trace;
@@ -45,8 +45,8 @@ Trace repeated_scattered_trace(int rounds) {
   return t;
 }
 
-SimConfig config_for(PolicyKind kind, std::size_t blocks = 64) {
-  SimConfig c;
+EngineConfig config_for(PolicyKind kind, std::size_t blocks = 64) {
+  EngineConfig c;
   c.cache_blocks = blocks;
   c.policy.kind = kind;
   return c;
@@ -202,7 +202,7 @@ TEST(Policies, TreeThresholdPrefetchesLikelyChildren) {
   PolicySpec spec;
   spec.kind = PolicyKind::kTreeThreshold;
   spec.threshold = 0.2;
-  SimConfig c;
+  EngineConfig c;
   c.cache_blocks = 16;
   c.policy = spec;
   const auto r = simulate(c, repeated_scattered_trace(100));
@@ -215,7 +215,7 @@ TEST(Policies, TreeChildrenPrefetchesTopK) {
   PolicySpec spec;
   spec.kind = PolicyKind::kTreeChildren;
   spec.children = 1;
-  SimConfig c;
+  EngineConfig c;
   c.cache_blocks = 16;
   c.policy = spec;
   const auto r = simulate(c, repeated_scattered_trace(100));
@@ -235,7 +235,7 @@ TEST(Policies, TreeRespectsNodeBudget) {
   PolicySpec spec;
   spec.kind = PolicyKind::kTree;
   spec.tree.tree.max_nodes = 128;
-  SimConfig c;
+  EngineConfig c;
   c.cache_blocks = 64;
   c.policy = spec;
   const auto r = simulate(c, repeated_scattered_trace(200));

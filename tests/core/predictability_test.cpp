@@ -43,7 +43,7 @@ TEST(Predictability, MatchesSimulatorsTreeMetric) {
   const auto t = trace::make_workload(trace::Workload::kCad, 20'000);
   const auto standalone = measure_predictability(t);
 
-  sim::SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 1024;
   c.policy.kind = core::policy::PolicyKind::kTree;
   const auto simulated = sim::simulate(c, t);

@@ -44,8 +44,8 @@ trace::Trace interleaved_pair_trace(int reps) {
   return t;
 }
 
-sim::SimConfig config_for(PolicyKind kind, std::size_t blocks = 64) {
-  sim::SimConfig c;
+engine::EngineConfig config_for(PolicyKind kind, std::size_t blocks = 64) {
+  engine::EngineConfig c;
   c.cache_blocks = blocks;
   c.policy.kind = kind;
   return c;

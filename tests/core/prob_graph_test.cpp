@@ -93,7 +93,7 @@ TEST(ProbGraph, BeatsNothingOnAlternatingPattern) {
   for (int i = 0; i < 2'000; ++i) {
     t.append(i % 2 == 0 ? 100 : 200);
   }
-  sim::SimConfig config;
+  engine::EngineConfig config;
   config.cache_blocks = 4;
   config.policy.kind = PolicyKind::kProbGraph;
   const auto r = sim::simulate(config, t);
@@ -122,7 +122,7 @@ TEST(ProbGraph, LosesToTreeOnInterleavedStreams) {
       p2 = (p2 + 1) % s2.size();
     }
   }
-  sim::SimConfig config;
+  engine::EngineConfig config;
   config.cache_blocks = 16;  // smaller than the combined pattern
   config.policy.kind = PolicyKind::kProbGraph;
   const auto graph = sim::simulate(config, t);

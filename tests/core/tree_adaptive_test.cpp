@@ -50,7 +50,7 @@ TEST(TreeAdaptive, FloorTightensOnNoisyWorkload) {
       pos = (pos + 1) % pattern.size();
     }
   }
-  sim::SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy.kind = PolicyKind::kTreeAdaptive;
   const auto adaptive = sim::simulate(c, t);
@@ -77,7 +77,7 @@ TEST(TreeAdaptive, MatchesTreeOnCleanPattern) {
       t.append(b);
     }
   }
-  sim::SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 16;
   c.policy.kind = PolicyKind::kTreeAdaptive;
   const auto adaptive = sim::simulate(c, t);
@@ -93,7 +93,7 @@ TEST(TreeAdaptive, DeterministicRuns) {
   for (int i = 0; i < 5'000; ++i) {
     t.append(rng.below(300));
   }
-  sim::SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy.kind = PolicyKind::kTreeAdaptive;
   const auto a = sim::simulate(c, t);

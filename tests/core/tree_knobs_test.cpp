@@ -31,7 +31,7 @@ trace::Trace mixed_trace(std::size_t n) {
 
 sim::Result run_with(RefetchDistanceRule refetch, ReclaimRule reclaim,
                      const trace::Trace& t, double t_cpu = 50.0) {
-  sim::SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.timing.t_cpu = t_cpu;
   c.policy.kind = PolicyKind::kTree;

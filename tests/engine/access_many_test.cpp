@@ -1,7 +1,9 @@
 // The access_many() bit-identity contract: the batched loop hoists
 // per-access setup (context build, dispatch resolution, observability
-// publish) but must produce exactly the metrics of the push-one path —
-// same decisions, same timing charges, down to the last double.
+// publish) to the call boundary, so however a stream is split into calls
+// — one block per call (push-one), fixed chunks, one whole-trace call —
+// the metrics must be the same: same decisions, same timing charges,
+// down to the last double.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,8 @@
 #include <vector>
 
 #include "engine/prefetch_engine.hpp"
+#include "sim/simulator.hpp"
+#include "trace/trace.hpp"
 #include "util/prng.hpp"
 
 namespace pfp::engine {
@@ -41,6 +45,19 @@ trace::Trace as_trace(const std::vector<trace::BlockId>& blocks) {
     t.append(block);
   }
   return t;
+}
+
+/// Feeds `blocks` in calls of `chunk` blocks, passing each call the rest
+/// of the stream as look-ahead (what the oracle needs to see past the
+/// call boundary).
+void feed_in_chunks(PrefetchEngine& eng,
+                    std::span<const trace::BlockId> blocks,
+                    std::size_t chunk) {
+  while (!blocks.empty()) {
+    const std::size_t n = std::min(chunk, blocks.size());
+    eng.access_many(blocks.first(n), blocks.subspan(n));
+    blocks = blocks.subspan(n);
+  }
 }
 
 void expect_identical(const Metrics& a, const Metrics& b) {
@@ -85,7 +102,7 @@ TEST(AccessMany, MatchesPushOneExactlyAcrossPolicies) {
 
     PrefetchEngine one(config_for(kind));
     for (const trace::BlockId block : blocks) {
-      one.access(block);
+      one.access_many({&block, 1});
     }
     expect_identical(batched.metrics(), one.metrics());
   }
@@ -114,18 +131,21 @@ TEST(AccessMany, BatchSizeIsInvariant) {
 }
 
 TEST(AccessMany, MatchesRunTraceOnFreshEngine) {
-  // run_trace() replays through access_many() when the engine is fresh
-  // and the policy is not the oracle; the three paths must agree.
+  // sim::Simulator::run replays a trace as one access_many over its
+  // blocks; the replay driver and the engine fed directly must agree,
+  // the oracle included (it sees the next block inside the batch).
   const auto blocks = random_blocks(5, 20'000, 500);
   const auto t = as_trace(blocks);
+  for (const PolicyKind kind :
+       {PolicyKind::kTreeNextLimit, PolicyKind::kPerfectSelector}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const sim::Result replayed = sim::simulate(config_for(kind), t);
 
-  PrefetchEngine replayed(config_for(PolicyKind::kTreeNextLimit));
-  replayed.run_trace(t);
+    PrefetchEngine batched(config_for(kind));
+    batched.access_many(blocks);
 
-  PrefetchEngine batched(config_for(PolicyKind::kTreeNextLimit));
-  batched.access_many(blocks);
-
-  expect_identical(replayed.metrics(), batched.metrics());
+    expect_identical(replayed.metrics, batched.metrics());
+  }
 }
 
 TEST(AccessMany, BatchResultSumsTheBatch) {
@@ -137,10 +157,11 @@ TEST(AccessMany, BatchResultSumsTheBatch) {
   std::uint64_t misses = 0;
   double latency_ms = 0.0;
   for (const trace::BlockId block : blocks) {
-    const AccessResult r = one.access(block);
-    demand_hits += r.outcome == Outcome::kDemandHit ? 1 : 0;
-    prefetch_hits += r.outcome == Outcome::kPrefetchHit ? 1 : 0;
-    misses += r.outcome == Outcome::kMiss ? 1 : 0;
+    const BatchResult r = one.access_many({&block, 1});
+    ASSERT_EQ(r.demand_hits + r.prefetch_hits + r.misses, 1u);
+    demand_hits += r.demand_hits;
+    prefetch_hits += r.prefetch_hits;
+    misses += r.misses;
     latency_ms += r.latency_ms;
   }
 
@@ -165,49 +186,43 @@ TEST(AccessMany, WarmEngineStillMatchesPushOne) {
 
   PrefetchEngine one(config_for(PolicyKind::kTreeNextLimit));
   for (const trace::BlockId block : warmup) {
-    one.access(block);
+    one.access_many({&block, 1});
   }
   for (const trace::BlockId block : blocks) {
-    one.access(block);
+    one.access_many({&block, 1});
   }
   expect_identical(batched.metrics(), one.metrics());
 }
 
-TEST(AccessMany, RunTraceOnWarmEngineMatchesStepLoop) {
-  // A warm engine disqualifies the access_many fast path (periods would
-  // restart from the access counter, not the trace index); run_trace
-  // must fall back to the indexed loop and keep matching step().
-  const auto warmup = random_blocks(19, 2'000, 150);
-  const auto blocks = random_blocks(23, 8'000, 150);
-  const auto t = as_trace(blocks);
+TEST(AccessMany, OraclePolicyReplayUnchanged) {
+  // The oracle reads only the next reference: blocks[i + 1] inside a
+  // call, then lookahead.front().  Replaying in chunks that each pass
+  // their successor as look-ahead must bit-match one whole-trace call,
+  // whatever the chunk size; the oracle must actually have prefetched.
+  const auto blocks = random_blocks(29, 8'000, 200);
+  PrefetchEngine whole(config_for(PolicyKind::kPerfectSelector));
+  whole.access_many(blocks);
+  ASSERT_GT(whole.metrics().prefetch_hits, 0u);
 
-  PrefetchEngine replayed(config_for(PolicyKind::kTreeNextLimit));
-  replayed.access_many(warmup);
-  replayed.run_trace(t);
-
-  PrefetchEngine stepped(config_for(PolicyKind::kTreeNextLimit));
-  stepped.access_many(warmup);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    stepped.step(t, i);
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
+    SCOPED_TRACE(chunk);
+    PrefetchEngine chunked(config_for(PolicyKind::kPerfectSelector));
+    feed_in_chunks(chunked, blocks, chunk);
+    expect_identical(chunked.metrics(), whole.metrics());
   }
-  expect_identical(replayed.metrics(), stepped.metrics());
 }
 
-TEST(AccessMany, OraclePolicyReplayUnchanged) {
-  // kPerfectSelector reads the rest of the trace (ctx.upcoming), which
-  // access_many cannot supply — run_trace must keep the oracle on the
-  // indexed loop and bit-match step().
-  const auto blocks = random_blocks(29, 8'000, 200);
-  const auto t = as_trace(blocks);
-
-  PrefetchEngine replayed(config_for(PolicyKind::kPerfectSelector));
-  replayed.run_trace(t);
-
-  PrefetchEngine stepped(config_for(PolicyKind::kPerfectSelector));
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    stepped.step(t, i);
+TEST(AccessMany, OracleWithoutLookaheadStopsAtTheBatchEnd) {
+  // Without look-ahead the last access of each call has no known
+  // successor, so one-block calls give the oracle nothing to act on.
+  const auto blocks = random_blocks(31, 4'000, 100);
+  PrefetchEngine blind(config_for(PolicyKind::kPerfectSelector));
+  for (const trace::BlockId block : blocks) {
+    blind.access_many({&block, 1});
   }
-  expect_identical(replayed.metrics(), stepped.metrics());
+  EXPECT_EQ(blind.metrics().policy.prefetches_issued, 0u);
+  EXPECT_EQ(blind.metrics().prefetch_hits, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "engine/prefetch_engine.hpp"
 #include "obs/engine_obs.hpp"
+#include "trace/trace.hpp"
 #include "util/phase.hpp"
 #include "util/prng.hpp"
 
@@ -58,7 +59,7 @@ TEST(EngineObs, StatsMirrorDeterministicMetrics) {
   }
   PrefetchEngine eng(tree_config());
   const auto t = random_trace(7, 10'000, 300);
-  eng.run_trace(t);
+  eng.access_many(t.blocks());
   expect_stats_mirror_metrics(eng);
 }
 
@@ -68,13 +69,13 @@ TEST(EngineObs, InstrumentationNeverChangesDecisions) {
   const auto t = random_trace(11, 10'000, 300);
 
   PrefetchEngine bare(tree_config());
-  bare.run_trace(t);
+  bare.access_many(t.blocks());
 
   EngineConfig instrumented_config = tree_config();
   instrumented_config.obs.phase_timers = true;
   instrumented_config.obs.trace_capacity = 1024;
   PrefetchEngine instrumented(instrumented_config);
-  instrumented.run_trace(t);
+  instrumented.access_many(t.blocks());
 
   EXPECT_EQ(instrumented.metrics().misses, bare.metrics().misses);
   EXPECT_EQ(instrumented.metrics().prefetch_hits,
@@ -93,7 +94,7 @@ TEST(EngineObs, PhaseTimersCoverEveryAccess) {
   EngineConfig config = tree_config();
   config.obs.phase_timers = true;
   PrefetchEngine eng(config);
-  eng.run_trace(random_trace(3, 2'000, 100));
+  eng.access_many(random_trace(3, 2'000, 100).blocks());
 
   const auto stats = eng.stats();
   const auto lookup = static_cast<std::size_t>(util::EnginePhase::kLookup);
@@ -110,7 +111,7 @@ TEST(EngineObs, PhaseTimersCoverEveryAccess) {
 
 TEST(EngineObs, PhaseTimersOffByDefault) {
   PrefetchEngine eng(tree_config());
-  eng.run_trace(random_trace(3, 500, 100));
+  eng.access_many(random_trace(3, 500, 100).blocks());
   EXPECT_EQ(eng.stats().phases.total_count(), 0u);
   EXPECT_EQ(eng.stats().trace_capacity, 0u);
 }
@@ -122,7 +123,7 @@ TEST(EngineObs, TraceRingRecordsTheRun) {
   EngineConfig config = tree_config();
   config.obs.trace_capacity = 256;
   PrefetchEngine eng(config);
-  eng.run_trace(random_trace(9, 2'000, 100));
+  eng.access_many(random_trace(9, 2'000, 100).blocks());
 
   const auto stats = eng.stats();
   EXPECT_EQ(stats.trace_capacity, 256u);
@@ -148,7 +149,7 @@ TEST(EngineObs, RestoredEnginePublishesItsStats) {
     GTEST_SKIP() << "PFP_OBS compiled out";
   }
   PrefetchEngine eng(tree_config());
-  eng.run_trace(random_trace(13, 5'000, 200));
+  eng.access_many(random_trace(13, 5'000, 200).blocks());
 
   std::vector<std::uint8_t> blob;
   eng.snapshot(blob);
@@ -164,7 +165,7 @@ TEST(EngineObs, DisabledBackendReportsZeros) {
     GTEST_SKIP() << "only meaningful with PFP_OBS off";
   }
   PrefetchEngine eng(tree_config());
-  eng.run_trace(random_trace(7, 1'000, 100));
+  eng.access_many(random_trace(7, 1'000, 100).blocks());
   const auto stats = eng.stats();
   EXPECT_EQ(stats.accesses, 0u);
   EXPECT_EQ(stats.trace_capacity, 0u);

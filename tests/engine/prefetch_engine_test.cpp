@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/trace.hpp"
 #include "util/prng.hpp"
 
 namespace pfp::engine {
@@ -33,25 +34,26 @@ trace::Trace random_trace(std::uint64_t seed, int length, int universe) {
 
 TEST(PrefetchEngine, FirstAccessMissesThenHits) {
   PrefetchEngine eng(tree_config());
-  const auto miss = eng.access(42);
-  EXPECT_EQ(miss.outcome, Outcome::kMiss);
+  const trace::BlockId block = 42;
+  const auto miss = eng.access_many({&block, 1});
+  EXPECT_EQ(miss.misses, 1u);
   EXPECT_GT(miss.latency_ms, 15.0);  // miss pays driver + disk
-  const auto hit = eng.access(42);
-  EXPECT_EQ(hit.outcome, Outcome::kDemandHit);
+  const auto hit = eng.access_many({&block, 1});
+  EXPECT_EQ(hit.demand_hits, 1u);
   EXPECT_LT(hit.latency_ms, 1.0);
 }
 
 TEST(PrefetchEngine, PushPathMatchesBatchReplayExactly) {
-  // access() one block at a time must be bit-identical to run_trace()
-  // over the same stream — same cache decisions, same timing charges.
+  // One block per call must be bit-identical to one call over the whole
+  // stream — same cache decisions, same timing charges.
   const auto t = random_trace(5, 20'000, 500);
 
   PrefetchEngine batch(tree_config());
-  batch.run_trace(t);
+  batch.access_many(t.blocks());
 
   PrefetchEngine push(tree_config());
   for (const auto& rec : t) {
-    push.access(rec.block);
+    push.access_many({&rec.block, 1});
   }
 
   EXPECT_EQ(push.metrics().accesses, batch.metrics().accesses);
@@ -66,26 +68,10 @@ TEST(PrefetchEngine, PushPathMatchesBatchReplayExactly) {
             batch.metrics().policy.sum_prefetch_probability);
 }
 
-TEST(PrefetchEngine, StepMatchesRunTrace) {
-  const auto t = random_trace(7, 10'000, 300);
-
-  PrefetchEngine batch(tree_config());
-  batch.run_trace(t);
-
-  PrefetchEngine stepped(tree_config());
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    stepped.step(t, i);
-  }
-
-  EXPECT_EQ(stepped.metrics().misses, batch.metrics().misses);
-  EXPECT_EQ(stepped.metrics().prefetch_hits, batch.metrics().prefetch_hits);
-  EXPECT_EQ(stepped.metrics().elapsed_ms, batch.metrics().elapsed_ms);
-}
-
 TEST(PrefetchEngine, SnapshotRestoreRoundTripsDurableState) {
   const auto t = random_trace(11, 30'000, 400);
   PrefetchEngine trained(tree_config());
-  trained.run_trace(t);
+  trained.access_many(t.blocks());
 
   std::vector<std::uint8_t> stream;
   trained.snapshot(stream);
@@ -118,7 +104,7 @@ TEST(PrefetchEngine, RestoredEngineContinuesLikeTheOriginal) {
   // in principle; a short deterministic continuation stays in agreement.
   const auto warmup = random_trace(13, 20'000, 200);
   PrefetchEngine original(tree_config());
-  original.run_trace(warmup);
+  original.access_many(warmup.blocks());
 
   std::vector<std::uint8_t> stream;
   original.snapshot(stream);
@@ -126,28 +112,32 @@ TEST(PrefetchEngine, RestoredEngineContinuesLikeTheOriginal) {
   resumed.restore(stream);
 
   for (trace::BlockId b = 0; b < 50; ++b) {
-    const auto a = original.access(b);
-    const auto r = resumed.access(b);
-    EXPECT_EQ(static_cast<int>(a.outcome), static_cast<int>(r.outcome))
-        << "diverged at block " << b;
+    const auto a = original.access_many({&b, 1});
+    const auto r = resumed.access_many({&b, 1});
+    EXPECT_EQ(a.demand_hits, r.demand_hits) << "diverged at block " << b;
+    EXPECT_EQ(a.prefetch_hits, r.prefetch_hits) << "diverged at block " << b;
+    EXPECT_EQ(a.misses, r.misses) << "diverged at block " << b;
   }
 }
 
 TEST(PrefetchEngine, RestoreRequiresFreshEngine) {
+  const std::vector<trace::BlockId> first = {1};
+  const std::vector<trace::BlockId> second = {2};
   PrefetchEngine trained(tree_config());
-  trained.access(1);
+  trained.access_many(first);
 
   std::vector<std::uint8_t> stream;
   trained.snapshot(stream);
 
   PrefetchEngine used(tree_config());
-  used.access(2);
+  used.access_many(second);
   EXPECT_THROW(used.restore(stream), std::runtime_error);
 }
 
 TEST(PrefetchEngine, RestoreRejectsCacheSizeMismatch) {
+  const std::vector<trace::BlockId> first = {1};
   PrefetchEngine trained(tree_config(64));
-  trained.access(1);
+  trained.access_many(first);
   std::vector<std::uint8_t> stream;
   trained.snapshot(stream);
 
@@ -164,7 +154,7 @@ TEST(PrefetchEngine, RestoreRejectsGarbage) {
 
 TEST(PrefetchEngine, RestoreRejectsTruncatedStream) {
   PrefetchEngine trained(tree_config());
-  trained.run_trace(random_trace(17, 5'000, 100));
+  trained.access_many(random_trace(17, 5'000, 100).blocks());
   std::vector<std::uint8_t> stream;
   trained.snapshot(stream);
 
@@ -178,7 +168,7 @@ TEST(PrefetchEngine, SnapshotWorksForTreelessPolicies) {
   EngineConfig c = tree_config();
   c.policy.kind = PolicyKind::kNextLimit;
   PrefetchEngine eng(c);
-  eng.run_trace(random_trace(19, 5'000, 100));
+  eng.access_many(random_trace(19, 5'000, 100).blocks());
 
   std::vector<std::uint8_t> stream;
   eng.snapshot(stream);

@@ -44,6 +44,11 @@ TEST(ShardedEngine, ValidatesEngineConfig) {
   c.engine.cache_blocks = 0;
   c.shards = 2;
   EXPECT_THROW(ShardedEngine{c}, std::invalid_argument);
+  // The oracle's look-ahead would end wherever a worker's run happens
+  // to be cut, which depends on thread timing.
+  c.engine = tree_config();
+  c.engine.policy.kind = PolicyKind::kPerfectSelector;
+  EXPECT_THROW(ShardedEngine{c}, std::invalid_argument);
 }
 
 TEST(ShardedEngine, ShardOfIsAStablePartition) {
@@ -65,7 +70,7 @@ TEST(ShardedEngine, AccountsEveryAccessExactlyOnce) {
   ShardedEngine eng(c);
   const auto t = cad_trace(20'000);
   for (const auto& rec : t) {
-    eng.push(rec.block);
+    eng.access_many({&rec.block, 1});
   }
   const auto merged = eng.merged_metrics();
   EXPECT_EQ(merged.accesses, t.size());
@@ -84,7 +89,7 @@ TEST(ShardedEngine, ShardsMatchSingleEnginePerPartitionBitIdentically) {
   c.shards = 4;
   ShardedEngine sharded(c);
   for (const auto& rec : t) {
-    sharded.push(rec.block);
+    sharded.access_many({&rec.block, 1});
   }
   sharded.flush();
 
@@ -92,7 +97,7 @@ TEST(ShardedEngine, ShardsMatchSingleEnginePerPartitionBitIdentically) {
     PrefetchEngine reference(c.engine);
     for (const auto& rec : t) {
       if (sharded.shard_of(rec.block) == s) {
-        reference.access(rec.block);
+        reference.access_many({&rec.block, 1});
       }
     }
     const Metrics& got = sharded.shard(s).metrics();
@@ -131,7 +136,7 @@ TEST(ShardedEngineProperty, MergedMetricsAreDeterministic) {
       ShardedEngine eng(c);
       if (run == 0) {
         for (const auto& rec : t) {
-          eng.push(rec.block);
+          eng.access_many({&rec.block, 1});
         }
       } else {
         // Different producer pacing each run: random bursts with flushes
@@ -143,7 +148,7 @@ TEST(ShardedEngineProperty, MergedMetricsAreDeterministic) {
           const std::size_t burst =
               1 + static_cast<std::size_t>(rng.below(997));
           for (std::size_t j = 0; j < burst && i < t.size(); ++j, ++i) {
-            eng.push(t[i].block);
+            eng.access_many({&t[i].block, 1});
           }
           if (rng.below(4) == 0) {
             eng.flush();
@@ -197,12 +202,12 @@ TEST(ShardedEngine, SingleShardMatchesPlainEngine) {
   c.shards = 1;
   ShardedEngine sharded(c);
   for (const auto& rec : t) {
-    sharded.push(rec.block);
+    sharded.access_many({&rec.block, 1});
   }
 
   PrefetchEngine plain(c.engine);
   for (const auto& rec : t) {
-    plain.access(rec.block);
+    plain.access_many({&rec.block, 1});
   }
 
   const Metrics merged = sharded.merged_metrics();
@@ -229,7 +234,7 @@ TEST(ShardedEngine, RejectsBadBatchingConfig) {
 // The tentpole equivalence, extended to the batched hand-off: routing a
 // stream through access_many() (staging buffers, bulk ring
 // transactions, bulk worker pops) must merge to exactly the metrics of
-// the push-one path, for any batch split.
+// one-block calls (push-one), for any batch split.
 TEST(ShardedEngine, AccessManyMatchesPushOneBitIdentically) {
   const auto t = cad_trace(30'000);
   std::vector<trace::BlockId> blocks;
@@ -244,7 +249,7 @@ TEST(ShardedEngine, AccessManyMatchesPushOneBitIdentically) {
 
   ShardedEngine pushed(c);
   for (const trace::BlockId block : blocks) {
-    pushed.push(block);
+    pushed.access_many({&block, 1});
   }
   const Metrics want = pushed.merged_metrics();
 
@@ -303,7 +308,7 @@ TEST(ShardedEngine, BatchedShardsMatchSingleEnginePerPartition) {
     PrefetchEngine reference(c.engine);
     for (const trace::BlockId block : blocks) {
       if (sharded.shard_of(block) == s) {
-        reference.access(block);
+        reference.access_many({&block, 1});
       }
     }
     const Metrics& got = sharded.shard(s).metrics();
@@ -350,49 +355,6 @@ TEST(ShardedEngine, DestructorDrainsStagedResidue) {
     // before stopping the workers.
   }
   SUCCEED();
-}
-
-TEST(ShardedEngine, MixedPushAndAccessManyPreservePerShardFifo) {
-  const auto t = cad_trace(20'000);
-  std::vector<trace::BlockId> blocks;
-  blocks.reserve(t.size());
-  for (const auto& rec : t) {
-    blocks.push_back(rec.block);
-  }
-
-  ShardedConfig c;
-  c.engine = tree_config(128);
-  c.shards = 3;
-
-  ShardedEngine pure(c);
-  for (const trace::BlockId block : blocks) {
-    pure.push(block);
-  }
-  const Metrics want = pure.merged_metrics();
-
-  // Alternate entry points mid-stream: push() must flush a shard's
-  // staged residue before its direct ring push, or the shard would see
-  // the stream out of order.
-  ShardedEngine mixed(c);
-  util::Xoshiro256 rng(43);
-  std::size_t i = 0;
-  while (i < blocks.size()) {
-    if (rng.below(2) == 0) {
-      mixed.push(blocks[i++]);
-    } else {
-      const std::size_t n = std::min(
-          blocks.size() - i, 1 + static_cast<std::size_t>(rng.below(200)));
-      mixed.access_many({blocks.data() + i, n});
-      i += n;
-    }
-  }
-  const Metrics got = mixed.merged_metrics();
-  EXPECT_EQ(got.accesses, want.accesses);
-  EXPECT_EQ(got.misses, want.misses);
-  EXPECT_EQ(got.prefetch_hits, want.prefetch_hits);
-  EXPECT_EQ(got.elapsed_ms, want.elapsed_ms);
-  EXPECT_EQ(got.policy.sum_prefetch_probability,
-            want.policy.sum_prefetch_probability);
 }
 
 std::vector<trace::BlockId> zipf_blocks(std::uint64_t seed, int length) {
@@ -473,7 +435,7 @@ TEST(ShardedEngine, RebalanceStrategyIsDeterministicAndComplete) {
 TEST(ShardedEngine, BackpressureIsCountedNotBurned) {
   // A 2-slot ring in front of the full per-access state machine forces
   // the producer into the backpressure path constantly on a shared
-  // core.  The regression contract: push() escalates through
+  // core.  The regression contract: the bulk flush escalates through
   // util::Backoff (bounded spins, then yields — it cannot burn a core
   // unbounded, which is what let this test deadlock-watchdog before the
   // fix) and every wait increments the push_waits counter surfaced in
@@ -487,7 +449,7 @@ TEST(ShardedEngine, BackpressureIsCountedNotBurned) {
   ShardedEngine eng(c);
   const auto t = cad_trace(20'000);
   for (const auto& rec : t) {
-    eng.push(rec.block);
+    eng.access_many({&rec.block, 1});
   }
   eng.flush();
   std::uint64_t waits = 0;
@@ -533,7 +495,7 @@ TEST(ShardedEngine, RunRoutedShardsMatchSingleEnginePerSlice) {
     PrefetchEngine reference(c.engine);
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       if ((i / c.run_length) % c.shards == s) {
-        reference.access(blocks[i]);
+        reference.access_many({&blocks[i], 1});
       }
     }
     const Metrics& got = sharded.shard(s).metrics();
@@ -548,9 +510,10 @@ TEST(ShardedEngine, RunRoutedShardsMatchSingleEnginePerSlice) {
   }
 }
 
-// The deal is a pure function of the stream position, not of the entry
-// point: any mix of push() and access_many() over the same stream must
-// land every reference on the same shard.
+// The deal is a pure function of the stream position, not of how the
+// stream is split into calls: any mix of one-block and multi-block
+// access_many() calls over the same stream must land every reference on
+// the same shard.
 TEST(ShardedEngine, RunRoutingIsStableAcrossEntryPoints) {
   const auto t = cad_trace(20'000);
   std::vector<trace::BlockId> blocks;
@@ -574,7 +537,7 @@ TEST(ShardedEngine, RunRoutingIsStableAcrossEntryPoints) {
   std::size_t i = 0;
   while (i < blocks.size()) {
     if (rng.below(2) == 0) {
-      mixed.push(blocks[i]);
+      mixed.access_many({&blocks[i], 1});
       ++i;
     } else {
       const std::size_t n = std::min(

@@ -6,6 +6,7 @@
 
 #include "engine/sharded_engine.hpp"
 #include "obs/engine_obs.hpp"
+#include "trace/trace.hpp"
 #include "util/prng.hpp"
 
 namespace pfp::engine {
@@ -36,7 +37,7 @@ TEST(ShardedObs, MergedStatsMatchMergedMetrics) {
   ShardedEngine eng(sharded_config(4));
   const auto t = random_trace(21, 20'000, 600);
   for (const auto& rec : t) {
-    eng.push(rec.block);
+    eng.access_many({&rec.block, 1});
   }
   const auto merged = eng.merged_metrics();  // flushes first
   const auto stats = eng.stats();
@@ -64,7 +65,7 @@ TEST(ShardedObs, MergedStatsAreAPureFunctionOfTraceAndShardCount) {
   auto run = [&t]() {
     ShardedEngine eng(sharded_config(4));
     for (const auto& rec : t) {
-      eng.push(rec.block);
+      eng.access_many({&rec.block, 1});
     }
     eng.flush();
     return eng.stats();
@@ -88,7 +89,7 @@ TEST(ShardedObs, PerShardViewsCarryQueueGauges) {
   ShardedEngine eng(sharded_config(2));
   const auto t = random_trace(5, 5'000, 200);
   for (const auto& rec : t) {
-    eng.push(rec.block);
+    eng.access_many({&rec.block, 1});
   }
   eng.flush();
 
@@ -115,7 +116,7 @@ TEST(ShardedObs, ChromeTraceCarriesOneLanePerShard) {
   config.engine.obs.trace_capacity = 512;
   ShardedEngine eng(config);
   for (const auto& rec : random_trace(17, 5'000, 200)) {
-    eng.push(rec.block);
+    eng.access_many({&rec.block, 1});
   }
   std::ostringstream json;
   eng.write_chrome_trace(json);
@@ -134,7 +135,7 @@ TEST(ShardedObs, BackpressureWaitsSurfaceInMergedView) {
   config.queue_capacity = 2;
   ShardedEngine eng(config);
   for (const auto& rec : random_trace(2, 20'000, 400)) {
-    eng.push(rec.block);
+    eng.access_many({&rec.block, 1});
   }
   eng.flush();
   EXPECT_EQ(eng.stats().accesses, 20'000u);

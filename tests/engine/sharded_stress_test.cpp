@@ -51,7 +51,7 @@ TEST(ShardedStress, FourShardCadTraceWithInterleavedFlushes) {
   const auto t = cad_trace(100'000 * stress_scale());
   ShardedEngine eng(stress_config(4));
   for (std::size_t i = 0; i < t.size(); ++i) {
-    eng.push(t[i].block);
+    eng.access_many({&t[i].block, 1});
     if (i % 9973 == 0) {
       eng.flush();  // racing flushes against busy workers
     }
@@ -69,7 +69,7 @@ TEST(ShardedStress, DestructionDrainsQueuedWork) {
   for (std::uint64_t round = 0; round < 5 * stress_scale(); ++round) {
     ShardedEngine eng(stress_config(4));
     for (const auto& rec : t) {
-      eng.push(rec.block);
+      eng.access_many({&rec.block, 1});
     }
     // No flush: destructor must drain.
   }
@@ -82,7 +82,7 @@ TEST(ShardedStress, RepeatedConstructionTeardown) {
   for (std::uint64_t round = 0; round < 20 * stress_scale(); ++round) {
     ShardedEngine eng(stress_config(static_cast<std::uint32_t>(1 + round % 4)));
     for (const auto& rec : t) {
-      eng.push(rec.block);
+      eng.access_many({&rec.block, 1});
     }
     const auto merged = eng.merged_metrics();
     ASSERT_EQ(merged.accesses, t.size());
@@ -94,7 +94,7 @@ TEST(ShardedStress, MetricsReadsAfterFlushAreStable) {
   ShardedEngine eng(stress_config(4));
   std::size_t i = 0;
   for (const auto& rec : t) {
-    eng.push(rec.block);
+    eng.access_many({&rec.block, 1});
     if (++i % 10'000 == 0) {
       eng.flush();
       // Post-flush reads must be race-free and self-consistent.

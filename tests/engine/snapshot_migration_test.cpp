@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "engine/prefetch_engine.hpp"
+#include "trace/trace.hpp"
 #include "util/prng.hpp"
 
 namespace pfp::engine {
@@ -67,7 +68,7 @@ void expect_restore_error(const EngineConfig& config, const Image& image,
 TEST(SnapshotMigration, V1HeaderIsAnUnsupportedVersion) {
   const EngineConfig config = config_for(PolicyKind::kTreeNextLimit);
   PrefetchEngine trained(config);
-  trained.run_trace(random_trace(11, 5'000, 100));
+  trained.access_many(random_trace(11, 5'000, 100).blocks());
   Image image = snapshot_bytes(trained);
   image[4] = 1;  // little-endian u16 version = 1
   image[5] = 0;
@@ -77,7 +78,7 @@ TEST(SnapshotMigration, V1HeaderIsAnUnsupportedVersion) {
 TEST(SnapshotMigration, V2RoundTripsTheMarkovPredictor) {
   const EngineConfig config = config_for(PolicyKind::kMarkov);
   PrefetchEngine original(config);
-  original.run_trace(random_trace(19, 20'000, 200));
+  original.access_many(random_trace(19, 20'000, 200).blocks());
 
   PrefetchEngine resumed(config);
   resumed.restore(snapshot_bytes(original));
@@ -91,7 +92,7 @@ TEST(SnapshotMigration, V2RoundTripsTheMarkovPredictor) {
 TEST(SnapshotMigration, V2RoundTripsTheAssocPredictor) {
   const EngineConfig config = config_for(PolicyKind::kAssoc);
   PrefetchEngine original(config);
-  original.run_trace(random_trace(23, 20'000, 200));
+  original.access_many(random_trace(23, 20'000, 200).blocks());
 
   PrefetchEngine resumed(config);
   resumed.restore(snapshot_bytes(original));
@@ -100,7 +101,7 @@ TEST(SnapshotMigration, V2RoundTripsTheAssocPredictor) {
 
 TEST(SnapshotMigration, V2RejectsCrossKindRestores) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
-  markov.run_trace(random_trace(29, 5'000, 100));
+  markov.access_many(random_trace(29, 5'000, 100).blocks());
   const Image image = snapshot_bytes(markov);
 
   expect_restore_error(config_for(PolicyKind::kAssoc), image,
@@ -114,7 +115,7 @@ TEST(SnapshotMigration, V2RejectsCrossKindRestores) {
 
 TEST(SnapshotMigration, V2RejectsATruncatedPredictorTag) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
-  markov.run_trace(random_trace(31, 5'000, 100));
+  markov.access_many(random_trace(31, 5'000, 100).blocks());
   const Image image = snapshot_bytes(markov);
   const std::size_t tail = 4 + 8 + predictor_blob_size(markov);
 
@@ -125,7 +126,7 @@ TEST(SnapshotMigration, V2RejectsATruncatedPredictorTag) {
 
 TEST(SnapshotMigration, V2RejectsATruncatedPredictorBlob) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
-  markov.run_trace(random_trace(37, 5'000, 100));
+  markov.access_many(random_trace(37, 5'000, 100).blocks());
   const Image image = snapshot_bytes(markov);
 
   expect_restore_error(config_for(PolicyKind::kMarkov),
@@ -135,7 +136,7 @@ TEST(SnapshotMigration, V2RejectsATruncatedPredictorBlob) {
 
 TEST(SnapshotMigration, V2RejectsAnImplausibleBlobLength) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
-  markov.run_trace(random_trace(41, 5'000, 100));
+  markov.access_many(random_trace(41, 5'000, 100).blocks());
   Image image = snapshot_bytes(markov);
   const std::size_t blob_size = predictor_blob_size(markov);
 
@@ -150,7 +151,7 @@ TEST(SnapshotMigration, V2RejectsAnImplausibleBlobLength) {
 
 TEST(SnapshotMigration, V2RejectsAGarbagePredictorBlob) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
-  markov.run_trace(random_trace(43, 5'000, 100));
+  markov.access_many(random_trace(43, 5'000, 100).blocks());
   Image image = snapshot_bytes(markov);
   const std::size_t blob_size = predictor_blob_size(markov);
 
@@ -165,7 +166,7 @@ TEST(SnapshotMigration, V2RejectsAGarbagePredictorBlob) {
 
 TEST(SnapshotMigration, V2RejectsTrailingBlobBytes) {
   PrefetchEngine markov(config_for(PolicyKind::kMarkov));
-  markov.run_trace(random_trace(47, 5'000, 100));
+  markov.access_many(random_trace(47, 5'000, 100).blocks());
   Image image = snapshot_bytes(markov);
   const std::size_t blob_size = predictor_blob_size(markov);
 

@@ -15,7 +15,7 @@ using trace::Workload;
 constexpr std::uint64_t kRefs = 60'000;  // enough to warm the tree
 
 Result run(const Trace& t, PolicyKind kind, std::size_t blocks) {
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = blocks;
   c.policy.kind = kind;
   return simulate(c, t);
@@ -139,7 +139,7 @@ TEST_F(WorkloadFixture, TreeCompetitiveWithTunedParametrics) {
   const auto tree = run(snake, PolicyKind::kTree, 1024);
   double best_parametric = 1.0;
   for (const double threshold : {0.002, 0.025, 0.05, 0.1, 0.2}) {
-    SimConfig c;
+    engine::EngineConfig c;
     c.cache_blocks = 1024;
     c.policy.kind = PolicyKind::kTreeThreshold;
     c.policy.threshold = threshold;

@@ -142,7 +142,7 @@ TEST_P(MetricsPin, ExactlyMatchesStdContainerBaseline) {
   const Golden& golden = GetParam();
   const trace::Trace t =
       trace::make_workload(golden.workload, kReferences, kSeed);
-  SimConfig config;
+  engine::EngineConfig config;
   config.cache_blocks = kCacheBlocks;
   config.policy.kind = golden.kind;
   const Result r = simulate(config, t);

@@ -57,7 +57,7 @@ class SimProperties : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SimProperties, CountersAreCoherent) {
   const auto [workload, kind, blocks] = GetParam();
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = blocks;
   c.policy.kind = kind;
   const auto r = simulate(c, shared_workload(workload));
@@ -86,11 +86,11 @@ TEST_P(SimProperties, CountersAreCoherent) {
 
 TEST_P(SimProperties, PrefetchingNeverWorseThanNoPrefetchByMuch) {
   const auto [workload, kind, blocks] = GetParam();
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = blocks;
   c.policy.kind = kind;
   const auto r = simulate(c, shared_workload(workload));
-  SimConfig np = c;
+  engine::EngineConfig np = c;
   np.policy.kind = PolicyKind::kNoPrefetch;
   const auto base = simulate(np, shared_workload(workload));
   // Cost-benefit should keep harmful prefetching in check; allow a small
@@ -116,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(
 class SimDeterminism : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(SimDeterminism, RepeatRunsAreIdentical) {
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 256;
   c.policy.kind = GetParam();
   const auto& t = shared_workload(Workload::kCad);

@@ -15,7 +15,7 @@ class SeedRobustness : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SeedRobustness, CadHeadlineHoldsAcrossSeeds) {
   const auto seed = GetParam();
   const auto cad = trace::make_workload(trace::Workload::kCad, 40'000, seed);
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 512;
   c.policy.kind = PolicyKind::kNoPrefetch;
   const auto np = simulate(c, cad);
@@ -35,7 +35,7 @@ TEST_P(SeedRobustness, SitarHeadlineHoldsAcrossSeeds) {
   const auto seed = GetParam();
   const auto sitar =
       trace::make_workload(trace::Workload::kSitar, 40'000, seed);
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 512;
   c.policy.kind = PolicyKind::kNoPrefetch;
   const auto np = simulate(c, sitar);

@@ -193,6 +193,67 @@ TEST(Session, BadPolicyNameIsBadConfig) {
   EXPECT_EQ(registry.size(), 0u);
 }
 
+TEST(Session, OracleTenantOpenIsBadConfig) {
+  engine::TenantRegistry registry;
+  Session session(registry, SessionConfig{});
+  EXPECT_TRUE(session.ingest(
+      make_frame(wire::MsgType::kTenantOpen, 1, 1,
+                 open_payload("t", "perfect-selector", 64))));
+  const std::vector<Reply> replies = drain_replies(session);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(expect_error(replies[0]).code, wire::ErrorCode::kBadConfig);
+  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_FALSE(session.fatal());
+}
+
+TEST(Session, AccessReplyMatchesAccessManyOfOne) {
+  // ACCESS is an ACCESS_MANY of one: for the same stream, every reply
+  // must carry the same flags, tenant, serial and payload bytes; only
+  // the reply type differs.  Plain tenants report exact counts, sharded
+  // ones answer kFlagAsync with zeros.
+  const std::uint64_t stream[] = {5, 6, 7, 5, 6, 7, 8, 9, 5, 6, 7, 8, 9, 10};
+  for (const std::uint32_t shards : {0u, 2u}) {
+    SCOPED_TRACE(shards);
+    engine::TenantRegistry one_registry;
+    engine::TenantRegistry many_registry;
+    Session one(one_registry, SessionConfig{});
+    Session many(many_registry, SessionConfig{});
+    for (Session* session : {&one, &many}) {
+      EXPECT_TRUE(session->ingest(make_frame(
+          wire::MsgType::kTenantOpen, 3, 0,
+          open_payload("t", "tree-next-limit", 64, shards))));
+    }
+    (void)drain_replies(one);
+    (void)drain_replies(many);
+
+    std::uint32_t serial = 1;
+    for (const std::uint64_t block : stream) {
+      std::vector<std::uint8_t> access;
+      wire::put_u64(access, block);
+      EXPECT_TRUE(
+          one.ingest(make_frame(wire::MsgType::kAccess, 3, serial, access)));
+      EXPECT_TRUE(many.ingest(make_frame(wire::MsgType::kAccessMany, 3,
+                                         serial,
+                                         access_many_payload({&block, 1}))));
+      std::vector<std::uint8_t> a(one.out().begin(), one.out().end());
+      std::vector<std::uint8_t> b(many.out().begin(), many.out().end());
+      ASSERT_EQ(a.size(), wire::kHeaderSize + 32);
+      ASSERT_EQ(b.size(), a.size());
+      EXPECT_EQ(a[4], static_cast<std::uint8_t>(wire::MsgType::kAccessReply));
+      EXPECT_EQ(b[4],
+                static_cast<std::uint8_t>(wire::MsgType::kAccessManyReply));
+      a[4] = b[4];  // the reply type is the one byte allowed to differ
+      EXPECT_EQ(a, b) << "serial " << serial;
+      if (shards != 0) {
+        EXPECT_NE(a[5] & wire::kFlagAsync, 0);
+      }
+      one.consumed(one.out().size());
+      many.consumed(many.out().size());
+      ++serial;
+    }
+  }
+}
+
 TEST(Session, UnknownTypeIsRecoverable) {
   engine::TenantRegistry registry;
   Session session(registry, SessionConfig{});

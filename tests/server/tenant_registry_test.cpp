@@ -66,6 +66,23 @@ TEST(TenantRegistry, BadEngineConfigIsTypedNotThrown) {
   EXPECT_EQ(registry.size(), 0u);
 }
 
+TEST(TenantRegistry, OracleOpenIsBadConfig) {
+  // perfect-selector would never see the future through a tenant (or see
+  // only as far as each batch reaches), so it is refused at open, for
+  // plain and sharded tenants alike.
+  TenantRegistry registry;
+  for (const std::uint32_t shards : {0u, 2u}) {
+    TenantConfig config = small_config("oracle", "perfect-selector");
+    config.shards = shards;
+    std::string detail;
+    EXPECT_EQ(registry.open(1, std::move(config), &detail),
+              TenantStatus::kBadConfig)
+        << shards << " shards";
+    EXPECT_NE(detail.find("perfect-selector"), std::string::npos) << detail;
+    EXPECT_EQ(registry.size(), 0u);
+  }
+}
+
 TEST(SetPolicyByName, ResolvesKnownAndRejectsUnknownNames) {
   TenantConfig config;
   std::string detail;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "core/policy/factory.hpp"
 #include "core/policy/tree_policy.hpp"
@@ -30,13 +32,18 @@ TEST_P(SimulatorAuditSweep, InvariantsHoldThroughoutRun) {
   using core::policy::PolicyKind;
   const trace::Trace t = trace::make_workload(GetParam(), 2'000, /*seed=*/7);
   for (const PolicyKind kind :
-       {PolicyKind::kTree, PolicyKind::kNextLimit, PolicyKind::kProbGraph}) {
-    SimConfig config;
+       {PolicyKind::kTree, PolicyKind::kNextLimit, PolicyKind::kProbGraph,
+        PolicyKind::kPerfectSelector}) {
+    engine::EngineConfig config;
     config.cache_blocks = 64;
     config.policy.kind = kind;
     Simulator simulator(config);
+    // One access per call, with the rest of the trace as look-ahead so
+    // the oracle's prefetch and eviction paths are swept too.
+    const std::vector<trace::BlockId> stream = t.blocks();
     for (std::size_t i = 0; i < t.size(); ++i) {
-      simulator.step(t, i);
+      simulator.engine().access_many(std::span(stream).subspan(i, 1),
+                                     std::span(stream).subspan(i + 1));
       if (i % 50 == 0) {
         // The default abort handler is active: a violated invariant kills
         // the test with the audit message rather than failing an EXPECT.

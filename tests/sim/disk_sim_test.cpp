@@ -1,5 +1,5 @@
 // Simulator behaviour under the finite-disk extension (the paper assumes
-// infinite disks; SimConfig::disks relaxes that).
+// infinite disks; engine::EngineConfig::disks relaxes that).
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hpp"
@@ -21,7 +21,7 @@ Trace random_trace(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(DiskSim, InfiniteDisksHaveNoQueueDelay) {
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.disks = 0;
   c.policy.kind = PolicyKind::kTreeNextLimit;
@@ -34,7 +34,7 @@ TEST(DiskSim, MissRatesUnaffectedByDiskCount) {
   // The disk model changes time, not cache contents: hit/miss counts are
   // identical for any disk count.
   const Trace t = random_trace(20'000, 2);
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 128;
   c.policy.kind = PolicyKind::kTreeNextLimit;
   c.disks = 0;
@@ -47,7 +47,7 @@ TEST(DiskSim, MissRatesUnaffectedByDiskCount) {
 
 TEST(DiskSim, FewerDisksSlowerOrEqual) {
   const Trace t = random_trace(20'000, 3);
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 128;
   c.policy.kind = PolicyKind::kNextLimit;
   double last_elapsed = 0.0;
@@ -73,7 +73,7 @@ TEST(DiskSim, SingleDiskAccruesQueueDelayUnderPrefetchTraffic) {
     const trace::BlockId base = static_cast<trace::BlockId>(i / 50) * 1'000;
     t.append(base + i % 50);
   }
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.disks = 1;
   c.policy.kind = PolicyKind::kNextLimit;
@@ -89,7 +89,7 @@ TEST(DiskSim, PrefetchHitStallReflectsLateCompletion) {
   for (std::size_t i = 0; i < 5'000; ++i) {
     t.append(i);
   }
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.disks = 1;
   c.timing.t_cpu = 0.1;

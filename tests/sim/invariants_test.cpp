@@ -3,6 +3,9 @@
 // quota, and monotone counters.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "sim/simulator.hpp"
 #include "trace/workloads.hpp"
 
@@ -15,14 +18,18 @@ class StepInvariants : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(StepInvariants, HoldAfterEveryAccess) {
   const auto t = trace::make_workload(trace::Workload::kSnake, 15'000);
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy.kind = GetParam();
   Simulator sim(c);
 
   std::uint64_t last_accesses = 0;
+  // One access per call, with the rest of the trace as look-ahead so
+  // the oracle still prefetches.
+  const std::vector<trace::BlockId> stream = t.blocks();
   for (std::size_t i = 0; i < t.size(); ++i) {
-    sim.step(t, i);
+    sim.engine().access_many(std::span(stream).subspan(i, 1),
+                             std::span(stream).subspan(i + 1));
     const auto& cache = sim.buffer_cache();
     const auto& m = sim.metrics();
 

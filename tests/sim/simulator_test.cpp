@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "cache/lru_cache.hpp"
 #include "util/prng.hpp"
 
@@ -26,8 +29,8 @@ Trace zipfish_trace(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-SimConfig no_prefetch_config(std::size_t blocks) {
-  SimConfig c;
+engine::EngineConfig no_prefetch_config(std::size_t blocks) {
+  engine::EngineConfig c;
   c.cache_blocks = blocks;
   c.policy.kind = PolicyKind::kNoPrefetch;
   return c;
@@ -59,7 +62,7 @@ TEST(Simulator, EmptyTraceProducesZeroMetrics) {
 
 TEST(Simulator, ResultCarriesNames) {
   const Trace t = zipfish_trace(100, 1);
-  SimConfig c = no_prefetch_config(8);
+  engine::EngineConfig c = no_prefetch_config(8);
   const auto r = simulate(c, t);
   EXPECT_EQ(r.trace_name, "zipfish");
   EXPECT_EQ(r.policy_name, "no-prefetch");
@@ -68,7 +71,7 @@ TEST(Simulator, ResultCarriesNames) {
 
 TEST(Simulator, DeterministicAcrossRuns) {
   const Trace t = zipfish_trace(20'000, 3);
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 64;
   c.policy.kind = PolicyKind::kTreeNextLimit;
   const auto a = simulate(c, t);
@@ -82,13 +85,22 @@ TEST(Simulator, DeterministicAcrossRuns) {
 
 TEST(Simulator, ResidencyNeverExceedsCapacity) {
   const Trace t = zipfish_trace(5'000, 4);
-  SimConfig c;
-  c.cache_blocks = 32;
-  c.policy.kind = PolicyKind::kTreeNextLimit;
-  Simulator sim(c);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    sim.step(t, i);
-    ASSERT_LE(sim.buffer_cache().resident(), 32u);
+  // One access per call, with the rest of the trace as look-ahead, so
+  // the oracle's prefetch and eviction paths are checked too.
+  const std::vector<trace::BlockId> stream = t.blocks();
+  for (const PolicyKind kind :
+       {PolicyKind::kTreeNextLimit, PolicyKind::kPerfectSelector}) {
+    SCOPED_TRACE(core::policy::kind_name(kind));
+    engine::EngineConfig c;
+    c.cache_blocks = 32;
+    c.policy.kind = kind;
+    Simulator sim(c);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      sim.engine().access_many(std::span(stream).subspan(i, 1),
+                               std::span(stream).subspan(i + 1));
+      ASSERT_LE(sim.buffer_cache().resident(), 32u);
+    }
+    EXPECT_GT(sim.metrics().policy.prefetches_issued, 0u);
   }
 }
 
@@ -100,7 +112,7 @@ TEST(Simulator, ElapsedTimeAccountsMissesAndHits) {
   t.append(2);
   t.append(1);
   t.append(2);
-  SimConfig c = no_prefetch_config(8);
+  engine::EngineConfig c = no_prefetch_config(8);
   const auto r = simulate(c, t);
   const auto& tm = c.timing;
   const double expected = 4 * (tm.t_hit + tm.t_cpu)        // access periods
@@ -121,8 +133,8 @@ TEST(Simulator, PrefetchingReducesElapsedTimeOnPattern) {
       t.append(b);
     }
   }
-  SimConfig np = no_prefetch_config(16);
-  SimConfig tree = np;
+  engine::EngineConfig np = no_prefetch_config(16);
+  engine::EngineConfig tree = np;
   tree.policy.kind = PolicyKind::kTree;
   const auto r_np = simulate(np, t);
   const auto r_tree = simulate(tree, t);
@@ -143,7 +155,7 @@ TEST(Simulator, SmallestLegalCacheWorks) {
 TEST(Simulator, TreePolicySmallCacheStress) {
   // Tiny cache + aggressive prefetching: the reclaim logic must never
   // violate capacity or deadlock.
-  SimConfig c;
+  engine::EngineConfig c;
   c.cache_blocks = 4;
   c.policy.kind = PolicyKind::kTreeNextLimit;
   const auto r = simulate(c, zipfish_trace(20'000, 9));

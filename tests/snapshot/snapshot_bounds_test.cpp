@@ -15,6 +15,7 @@
 #include "core/markov/markov_model.hpp"
 #include "core/tree/prefetch_tree.hpp"
 #include "engine/prefetch_engine.hpp"
+#include "trace/trace.hpp"
 #include "util/binary_io.hpp"
 #include "util/prng.hpp"
 
@@ -116,7 +117,7 @@ class EngineBounds : public ::testing::Test {
     for (int i = 0; i < 2'000; ++i) {
       t.append(rng.below(200));
     }
-    trained.run_trace(t);
+    trained.access_many(t.blocks());
     trained.snapshot(image_);
     Image blob;
     trained.prefetcher().save_predictor_state(blob);

@@ -24,6 +24,7 @@
 #include "core/policy/markov_policy.hpp"
 #include "core/policy/tree_base.hpp"
 #include "engine/prefetch_engine.hpp"
+#include "trace/trace.hpp"
 #include "util/binary_io.hpp"
 #include "util/prng.hpp"
 
@@ -64,7 +65,7 @@ struct Corpus {
 Corpus make_corpus(PolicyKind kind) {
   Corpus corpus{kind, {}, {}, 0};
   PrefetchEngine trained(config_for(kind));
-  trained.run_trace(training_trace(static_cast<std::uint64_t>(kind), 2'500));
+  trained.access_many(training_trace(static_cast<std::uint64_t>(kind), 2'500).blocks());
   trained.snapshot(corpus.engine_image);
   trained.prefetcher().save_predictor_state(corpus.blob);
   corpus.blob_at = corpus.engine_image.size() - corpus.blob.size();
@@ -200,7 +201,7 @@ TEST_P(SnapshotFuzz, MutatedEngineImagesFailTypedOrRestoreClean) {
         mutated, [&] { eng.restore(mutated); },
         [&] {
           audit(eng);
-          eng.run_trace(continuation);
+          eng.access_many(continuation.blocks());
           audit(eng);
         },
         tally);
@@ -229,7 +230,7 @@ TEST_P(SnapshotFuzz, MutatedPredictorBlobsFailTypedOrRestoreClean) {
         wrapped, [&] { eng.restore(wrapped); },
         [&] {
           audit(eng);
-          eng.run_trace(continuation);
+          eng.access_many(continuation.blocks());
           audit(eng);
         },
         tally);

@@ -12,6 +12,7 @@
 
 #include "engine/prefetch_engine.hpp"
 #include "sha256.hpp"
+#include "trace/trace.hpp"
 #include "util/prng.hpp"
 
 namespace pfp::engine {
@@ -55,7 +56,7 @@ class SnapshotGolden : public ::testing::TestWithParam<Golden> {};
 TEST_P(SnapshotGolden, ImageBytesArePinned) {
   const Golden& golden = GetParam();
   PrefetchEngine trained(config_for(golden.kind));
-  trained.run_trace(training_trace());
+  trained.access_many(training_trace().blocks());
   const std::vector<std::uint8_t> image = image_of(trained);
   EXPECT_EQ(image.size(), golden.size);
   EXPECT_EQ(testing::sha256_hex(image), golden.sha256);

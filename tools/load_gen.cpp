@@ -1,5 +1,6 @@
 // load_gen: drives N concurrent Zipf tenant streams at a pfp_server and
 // reports client-observed batch latency (p50/p99) and throughput.
+// --batch 1 sends ACCESS frames, larger batches ACCESS_MANY frames.
 //
 //   load_gen --port 7411 --tenants 4 --policies tree-next-limit,markov
 //            --ops 20000 --batch 256 --json BENCH_08.json
@@ -201,16 +202,24 @@ TenantRun drive_tenant(std::uint16_t port, std::uint16_t tenant_id,
        at += static_cast<std::size_t>(config.batch)) {
     const std::size_t n = std::min(static_cast<std::size_t>(config.batch),
                                    stream.size() - at);
+    // --batch 1 drives the single-access frame, anything larger the
+    // batched one; the server answers both through one path.
+    const bool single = config.batch == 1;
     payload.clear();
-    wire::put_u32(payload, static_cast<std::uint32_t>(n));
+    if (!single) {
+      wire::put_u32(payload, static_cast<std::uint32_t>(n));
+    }
     for (std::size_t i = 0; i < n; ++i) {
       wire::put_u64(payload, stream[at + i]);
     }
     const auto t0 = std::chrono::steady_clock::now();
-    reply = client.call(wire::MsgType::kAccessMany, tenant_id, payload);
+    reply = client.call(
+        single ? wire::MsgType::kAccess : wire::MsgType::kAccessMany,
+        tenant_id, payload);
     const auto t1 = std::chrono::steady_clock::now();
-    if (reply.header.type != wire::MsgType::kAccessManyReply) {
-      die_on_error(reply, "ACCESS_MANY");
+    if (reply.header.type != (single ? wire::MsgType::kAccessReply
+                                     : wire::MsgType::kAccessManyReply)) {
+      die_on_error(reply, single ? "ACCESS" : "ACCESS_MANY");
     }
     batch_ms.push_back(
         std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -327,7 +336,8 @@ int main(int argc, char** argv) {
   options.add("policies", "tree-next-limit,markov",
               "comma-separated policy kinds, cycled across tenants");
   options.add("ops", "20000", "accesses per tenant");
-  options.add("batch", "256", "blocks per ACCESS_MANY frame");
+  options.add("batch", "256",
+              "blocks per ACCESS_MANY frame (1 = one ACCESS frame each)");
   options.add("blocks", "65536", "block-id space per tenant");
   options.add("skew", "0.9", "Zipf skew of each stream");
   options.add("seed", "42", "stream seed (tenant id is mixed in)");
