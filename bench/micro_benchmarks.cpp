@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the performance-critical pieces:
-// the LZ tree parse, candidate enumeration, cache operations, and whole-
-// simulator throughput per policy.
+// the LZ tree parse, candidate enumeration, delta-Markov prediction,
+// cache operations, and whole-simulator throughput per policy.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -8,12 +8,14 @@
 
 #include "cache/buffer_cache.hpp"
 #include "cache/lru_cache.hpp"
+#include "core/markov/markov_model.hpp"
 #include "core/tree/enumerator.hpp"
 #include "core/tree/prefetch_tree.hpp"
 #include "engine/prefetch_engine.hpp"
 #include "engine/sharded_engine.hpp"
 #include "sim/simulator.hpp"
 #include "trace/gen_cad.hpp"
+#include "trace/workloads.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -139,6 +141,35 @@ void BM_EnumerateCandidatesCached(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EnumerateCandidatesCached);
+
+void BM_MarkovPredict(benchmark::State& state) {
+  // The markov policy's per-access predictor work on a model warmed on
+  // the whole trace: one observe() to advance the parse position (so
+  // every call predicts from a fresh, realistic context) and one
+  // predict_into() under the policy's default limits.  Arg 0 replays the
+  // CAD trace, Arg 1 the snake trace (the served snake-ship stream).
+  static const trace::Trace snake =
+      trace::make_workload(trace::Workload::kSnake, 100'000);
+  const trace::Trace& t = state.range(0) == 0 ? cad_trace() : snake;
+  core::markov::DeltaMarkov model;
+  for (const auto& r : t) {
+    model.observe(r.block);
+  }
+  const core::markov::MarkovPredictLimits limits;
+  std::vector<core::costben::PredictedBlock> out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    model.observe(t[i % t.size()].block);
+    out.clear();
+    benchmark::DoNotOptimize(model.predict_into(limits, out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(state.range(0) == 0 ? "cad" : "snake");
+}
+BENCHMARK(BM_MarkovPredict)->Arg(0)->Arg(1);
 
 void BM_SnapshotRestore(benchmark::State& state) {
   // Full engine snapshot -> restore round trip over a trained tree: the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <stdexcept>
 
 #include "util/assert.hpp"
@@ -140,9 +141,37 @@ std::size_t DeltaMarkov::predict_into(
   if (it == index_.end()) {
     return 0;  // never seen this context: nothing to predict
   }
+  next_generation();
+  walk_chains(it->second, limits);
+  const std::size_t kept =
+      order_best(dedup_by_block(), limits.max_candidates);
+  out.insert(out.end(), scratch_.begin(),
+             scratch_.begin() + static_cast<std::ptrdiff_t>(kept));
+  return kept;
+}
+
+std::span<const DeltaMarkov::Transition> DeltaMarkov::successors(
+    std::int64_t context) const {
+  const auto it = index_.find(context);
+  if (it == index_.end()) {
+    return {};
+  }
+  return {row_slice(it->second), rows_[it->second].size};
+}
+
+void DeltaMarkov::next_generation() const {
+  if (++generation_ == 0) {  // generation wrapped: purge stale stamps
+    memo_.fill(StepMemo{});
+    std::fill(seen_.begin(), seen_.end(), SeenSlot{});
+    generation_ = 1;
+  }
+}
+
+void DeltaMarkov::walk_chains(std::uint32_t slot,
+                              const MarkovPredictLimits& limits) const {
   scratch_.clear();
-  const Row& row = rows_[it->second];
-  const Transition* t = row_slice(it->second);
+  const Row& row = rows_[slot];
+  const Transition* t = row_slice(slot);
   for (std::uint32_t i = 0; i < row.size; ++i) {
     const double p1 =
         static_cast<double>(t[i].count) / static_cast<double>(row.total);
@@ -163,55 +192,122 @@ std::size_t DeltaMarkov::predict_into(
     std::int64_t context = t[i].delta;
     double p_prev = p1;
     for (std::uint32_t depth = 2; depth <= limits.max_depth; ++depth) {
-      const auto jt = index_.find(context);
-      if (jt == index_.end() || rows_[jt->second].size == 0) {
+      const StepMemo& next = successor(context);
+      if (!next.live) {
         break;
       }
-      const Row& next_row = rows_[jt->second];
-      const Transition& best = row_slice(jt->second)[0];
-      const double step = static_cast<double>(best.count) /
-                          static_cast<double>(next_row.total);
-      const double p = p_prev * step;
+      const double p = p_prev * next.step;
       if (p < limits.min_probability) {
         break;
       }
-      base += best.delta;
+      base += next.delta;
       if (base < 0) {
         break;
       }
       scratch_.push_back(costben::PredictedBlock{
           static_cast<std::uint64_t>(base), p, p_prev, depth});
       p_prev = p;
-      context = best.delta;
+      context = next.delta;
     }
   }
+}
 
-  // Most probable first; ties broken by block then depth so the output
-  // is a pure function of the model state.
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const costben::PredictedBlock& a,
-               const costben::PredictedBlock& b) {
-              if (a.probability != b.probability) {
-                return a.probability > b.probability;
-              }
-              if (a.block != b.block) {
-                return a.block < b.block;
-              }
-              return a.depth < b.depth;
-            });
-  seen_.clear();
-  std::size_t appended = 0;
-  for (const costben::PredictedBlock& c : scratch_) {
-    if (appended >= limits.max_candidates) {
-      break;
-    }
-    if (!seen_.emplace(c.block, '\0').second) {
-      continue;  // chains can converge: keep the most probable route
-    }
-    out.push_back(c);
-    ++appended;
+const DeltaMarkov::StepMemo& DeltaMarkov::successor(
+    std::int64_t context) const {
+  // Fibonacci hashing: deltas cluster near zero, the high product bits
+  // spread them.  A colliding context just evicts the slot (a cache, not
+  // a set), costing one extra index probe later.
+  StepMemo& memo =
+      memo_[(static_cast<std::uint64_t>(context) * 0x9e3779b97f4a7c15ULL) >>
+            (64 - kMemoBits)];
+  if (memo.generation == generation_ && memo.context == context) {
+    return memo;
   }
-  return appended;
+  memo.generation = generation_;
+  memo.context = context;
+  memo.live = false;
+  const auto it = index_.find(context);
+  if (it != index_.end() && rows_[it->second].size != 0) {
+    const Transition& best = row_slice(it->second)[0];
+    memo.delta = best.delta;
+    memo.step = static_cast<double>(best.count) /
+                static_cast<double>(rows_[it->second].total);
+    memo.live = true;
+  }
+  return memo;
+}
+
+std::size_t DeltaMarkov::dedup_by_block() const {
+  // Every entry is inserted (the cap applies after ordering); keep load
+  // <= 1/2 so probe chains stay short.  The table only grows, so a
+  // steady-state call never reallocates it.
+  std::size_t want = 16;
+  while (want < scratch_.size() * 2) {
+    want <<= 1;
+  }
+  if (seen_.size() < want) {
+    seen_.assign(want, SeenSlot{});  // generation_ >= 1: all slots stale
+  }
+  const std::size_t mask = seen_.size() - 1;
+  const int shift = 64 - std::countr_zero(seen_.size());
+
+  std::size_t survivors = 0;
+  for (const costben::PredictedBlock& c : scratch_) {
+    std::size_t i = static_cast<std::size_t>(
+        (c.block * 0x9e3779b97f4a7c15ULL) >> shift);
+    while (true) {
+      SeenSlot& slot = seen_[i];
+      if (slot.generation != generation_) {
+        slot = SeenSlot{c.block, generation_,
+                        static_cast<std::uint32_t>(survivors)};
+        scratch_[survivors++] = c;  // survivors <= current index: in place
+        break;
+      }
+      if (slot.block == c.block) {
+        // Chains can converge: keep the entry that orders first — the
+        // most probable route, then the shallowest.
+        costben::PredictedBlock& kept = scratch_[slot.index];
+        if (c.probability > kept.probability ||
+            (c.probability == kept.probability && c.depth < kept.depth)) {
+          kept = c;
+        }
+        break;
+      }
+      i = (i + 1) & mask;
+    }
+  }
+  return survivors;
+}
+
+std::size_t DeltaMarkov::order_best(std::size_t n, std::size_t cap) const {
+  // Blocks are distinct after dedup, so (probability desc, block asc) is
+  // a strict total order and any correct sort yields the same list.
+  // Insertion sort suits the ~30 survivors, most of which arrive near
+  // their place (each chain's probabilities never increase).
+  const auto before = [](const costben::PredictedBlock& a,
+                         const costben::PredictedBlock& b) {
+    return a.probability > b.probability ||
+           (a.probability == b.probability && a.block < b.block);
+  };
+  costben::PredictedBlock* a = scratch_.data();
+  std::size_t len = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const costben::PredictedBlock c = a[i];
+    if (len == cap) {
+      if (!before(c, a[len - 1])) {
+        continue;  // no better than the worst kept
+      }
+      --len;  // the worst kept drops out
+    }
+    std::size_t j = len;
+    while (j > 0 && before(c, a[j - 1])) {
+      a[j] = a[j - 1];
+      --j;
+    }
+    a[j] = c;
+    ++len;
+  }
+  return len;
 }
 
 std::size_t DeltaMarkov::actual_memory_bytes() const noexcept {
@@ -220,10 +316,7 @@ std::size_t DeltaMarkov::actual_memory_bytes() const noexcept {
          index_.capacity() * (sizeof(std::pair<std::int64_t, std::uint32_t>) +
                               sizeof(std::uint8_t)) +
          lru_.capacity() * 2 * sizeof(std::uint32_t) +
-         free_.capacity() * sizeof(std::uint32_t) +
-         scratch_.capacity() * sizeof(costben::PredictedBlock) +
-         seen_.capacity() * (sizeof(std::pair<std::uint64_t, char>) +
-                             sizeof(std::uint8_t));
+         free_.capacity() * sizeof(std::uint32_t);
 }
 
 void DeltaMarkov::serialize(std::vector<std::uint8_t>& out) const {

@@ -22,7 +22,9 @@
 // probability as p_x.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/costben/candidate.hpp"
@@ -69,12 +71,27 @@ class DeltaMarkov {
   /// new delta) transition once two deltas exist.
   void observe(trace::BlockId block);
 
-  /// Appends up to `limits.max_candidates` predictions (most probable
-  /// first, deduplicated by block) for the current position; returns the
-  /// number appended.  Candidates carry chain-product probabilities and
-  /// the previous chain element's probability as parent_probability.
+  /// Appends up to `limits.max_candidates` predictions for the current
+  /// position; returns the number appended.  Candidates carry
+  /// chain-product probabilities and the previous chain element's
+  /// probability as parent_probability.  The order is probability
+  /// descending, then block ascending; a block reached by several chains
+  /// appears once, as its most probable entry (then its shallowest; an
+  /// exact tie keeps the entry the walk reached first).
+  ///
+  /// One allocation-free pass at steady state: the chain walk memoizes
+  /// each context's greedy successor for the call, so converging chains
+  /// cost one index probe per distinct context; duplicates are dropped
+  /// through a generation-stamped table before ordering, which leaves a
+  /// strict total order for a bounded insertion sort of the ~30
+  /// survivors.
   std::size_t predict_into(const MarkovPredictLimits& limits,
                            std::vector<costben::PredictedBlock>& out) const;
+
+  /// The successor deltas recorded after `context`, most frequent first
+  /// (empty when the context has no row); valid until the next observe().
+  [[nodiscard]] std::span<const Transition> successors(
+      std::int64_t context) const;
 
   /// Number of live context rows.
   [[nodiscard]] std::size_t row_count() const noexcept {
@@ -87,6 +104,8 @@ class DeltaMarkov {
 
   /// What the model's containers really hold (capacity, not size) —
   /// comparable across policies like NodePool::actual_memory_bytes().
+  /// Per-call prediction staging is not model state and is not counted,
+  /// so a restored model reports what the original reported.
   [[nodiscard]] std::size_t actual_memory_bytes() const noexcept;
 
   /// "PFMK" v1: rows in LRU-to-MRU order so a round trip preserves the
@@ -110,6 +129,25 @@ class DeltaMarkov {
     std::uint32_t size = 0;     ///< live entries in the arena slice
   };
 
+  /// One context's greedy successor, memoized for one predict_into call
+  /// (a stale generation marks the slot empty).
+  struct StepMemo {
+    std::int64_t context = 0;
+    std::int64_t delta = 0;  ///< the row's most probable successor delta
+    double step = 0.0;       ///< its count / row total
+    std::uint32_t generation = 0;
+    bool live = false;       ///< false: no row or an empty one (chain ends)
+  };
+  /// Generation-stamped open-addressing dedup slot: a block and the index
+  /// of its surviving entry in scratch_.
+  struct SeenSlot {
+    std::uint64_t block = 0;
+    std::uint32_t generation = 0;
+    std::uint32_t index = 0;
+  };
+
+  static constexpr unsigned kMemoBits = 6;  // 64 direct-mapped slots
+
   [[nodiscard]] Transition* row_slice(std::uint32_t slot) noexcept {
     return arena_.data() + static_cast<std::size_t>(slot) * config_.row_width;
   }
@@ -123,6 +161,20 @@ class DeltaMarkov {
   void record(std::int64_t context, std::int64_t next_delta);
   /// Halves every count in the row, dropping zeros (aging).
   void decay_row(std::uint32_t slot);
+
+  // predict_into's passes, in call order.
+  /// Starts a call: a fresh generation empties both stamped tables.
+  void next_generation() const;
+  /// Appends every chain entry from the row in `slot` to scratch_.
+  void walk_chains(std::uint32_t slot, const MarkovPredictLimits& limits) const;
+  /// The memoized greedy successor of `context`.
+  [[nodiscard]] const StepMemo& successor(std::int64_t context) const;
+  /// Compacts scratch_ to one entry per block; returns the survivors.
+  [[nodiscard]] std::size_t dedup_by_block() const;
+  /// Orders scratch_[0, n) best first, keeping at most `cap`; returns
+  /// the number kept.
+  [[nodiscard]] std::size_t order_best(std::size_t n,
+                                       std::size_t cap) const;
 
   MarkovConfig config_;
   util::FlatMap<std::int64_t, std::uint32_t> index_;  ///< context -> slot
@@ -142,7 +194,9 @@ class DeltaMarkov {
   // nothing at steady state.  Logically const: prediction never mutates
   // the chain itself.
   mutable std::vector<costben::PredictedBlock> scratch_;
-  mutable util::FlatMap<std::uint64_t, char> seen_;  ///< dedup by block
+  mutable std::array<StepMemo, std::size_t{1} << kMemoBits> memo_{};
+  mutable std::vector<SeenSlot> seen_;  ///< power-of-two dedup table
+  mutable std::uint32_t generation_ = 0;
 };
 
 }  // namespace pfp::core::markov

@@ -1,7 +1,8 @@
-// Steady-state allocation discipline of the candidate enumerator: after a
-// warm-up, thousands of enumerations — verbatim hits, rescales and full
-// re-walks alike — must perform zero heap allocations, because the policy
-// hot path runs one enumeration per simulated access.
+// Steady-state allocation discipline of candidate generation: after a
+// warm-up, thousands of tree enumerations — verbatim hits, rescales and
+// full re-walks alike — and delta-Markov predictions must perform zero
+// heap allocations, because the policy hot path runs one of them per
+// simulated access.
 //
 // The whole test binary's scalar operator new/delete are replaced with
 // counting forwards to malloc/free; array and aligned forms fall through
@@ -11,9 +12,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "core/markov/markov_model.hpp"
 #include "core/tree/enumerator.hpp"
 #include "core/tree/prefetch_tree.hpp"
+#include "trace/workloads.hpp"
 #include "util/audit.hpp"
 #include "util/prng.hpp"
 
@@ -93,6 +97,35 @@ TEST(EnumeratorAllocations, SteadyStateEnumerationIsAllocationFree) {
   EXPECT_GT(enumerator.cache_stats().full_walks, 100u);
   EXPECT_GT(enumerator.cache_stats().verbatim_hits, 1'000u);
 #endif
+}
+
+TEST(MarkovAllocations, SteadyStatePredictionIsAllocationFree) {
+  const trace::Trace t = trace::make_workload(trace::Workload::kSnake, 20'000);
+  markov::DeltaMarkov model;
+  const markov::MarkovPredictLimits limits;
+  std::vector<costben::PredictedBlock> out;
+  // Warm-up pass: the model learns the trace and the staging buffers,
+  // memo and dedup table reach their steady-state sizes.
+  for (const trace::TraceRecord& r : t) {
+    model.observe(r.block);
+    out.clear();
+    model.predict_into(limits, out);
+  }
+
+  // Second pass: only the predictions are counted (observe may still
+  // mint rows for contexts the first pass evicted).
+  std::uint64_t allocations = 0;
+  std::size_t predicted = 0;
+  for (const trace::TraceRecord& r : t) {
+    model.observe(r.block);
+    out.clear();
+    const std::uint64_t before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    predicted += model.predict_into(limits, out);
+    allocations += g_allocation_count.load(std::memory_order_relaxed) - before;
+  }
+  EXPECT_EQ(allocations, 0u) << "post-warm-up predictions touched the heap";
+  EXPECT_GT(predicted, t.size());  // the model really predicted
 }
 
 }  // namespace

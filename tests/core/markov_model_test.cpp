@@ -195,6 +195,26 @@ TEST(DeltaMarkov, MemoryAccountingIsNonTrivial) {
   EXPECT_GT(model.actual_memory_bytes(), 0u);
 }
 
+TEST(DeltaMarkov, MemoryAccountingCountsTheModelNotPredictionStaging) {
+  DeltaMarkov model;
+  for (trace::BlockId b = 0; b < 2'000; ++b) {
+    model.observe((b * 7) % 97 + (b % 5 == 0 ? 300 : 0));
+  }
+  const std::size_t trained = model.actual_memory_bytes();
+  std::vector<PredictedBlock> out;
+  MarkovPredictLimits wide;
+  wide.min_probability = 0.0;
+  wide.max_candidates = 500;
+  model.predict_into(wide, out);
+  EXPECT_FALSE(out.empty());
+  EXPECT_EQ(model.actual_memory_bytes(), trained);
+
+  // A restored model reports what the model that wrote it reported.
+  std::vector<std::uint8_t> stream;
+  model.serialize(stream);
+  EXPECT_EQ(load(stream, model.config()).actual_memory_bytes(), trained);
+}
+
 TEST(DeltaMarkovSerialize, RoundTripPreservesPredictions) {
   DeltaMarkov model;
   const trace::BlockId seq[] = {0, 1, 2, 10, 11, 12, 20, 21, 31, 32, 33};

@@ -82,8 +82,8 @@ INSTANTIATE_TEST_SUITE_P(
                "884ffb078ab0609447870605e84376bd"
                "30cc370a1828f09b07d519c1e671521f"},
         Golden{PolicyKind::kMarkov, 7913,
-               "1ccb7642da031663d84d19fc16e2533a"
-               "211aecee5f0df3970074d1ea98c7ad82"},
+               "5e760e5eb3a46d95c3d879455c723621"
+               "d0561e55646767f0bdaf934efbb4f8d5"},
         Golden{PolicyKind::kAssoc, 12440,
                "c5951e18522d178b6f54057598548203"
                "7cfe240a839aa13d8d85f3b2908c95f0"}),
