@@ -3,6 +3,7 @@
 // cache operations, and whole-simulator throughput per policy.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,8 +147,10 @@ void BM_MarkovPredict(benchmark::State& state) {
   // The markov policy's per-access predictor work on a model warmed on
   // the whole trace: one observe() to advance the parse position (so
   // every call predicts from a fresh, realistic context) and one
-  // predict_into() under the policy's default limits.  Arg 0 replays the
-  // CAD trace, Arg 1 the snake trace (the served snake-ship stream).
+  // predict_into() under the policy's default limits, which yields the
+  // capped candidate set unranked (the controller ranks what it prices
+  // positive).  Arg 0 replays the CAD trace, Arg 1 the snake trace (the
+  // served snake-ship stream).
   static const trace::Trace snake =
       trace::make_workload(trace::Workload::kSnake, 100'000);
   const trace::Trace& t = state.range(0) == 0 ? cad_trace() : snake;
@@ -170,6 +173,38 @@ void BM_MarkovPredict(benchmark::State& state) {
   state.SetLabel(state.range(0) == 0 ? "cad" : "snake");
 }
 BENCHMARK(BM_MarkovPredict)->Arg(0)->Arg(1);
+
+// The markov policy's whole access in process, the in-process form of
+// servebench's markov connections: a PrefetchEngine warmed on 100K
+// accesses of one trace seed, then access_many over another seed's
+// stream in 256-block frames, one frame per iteration (items/s counts
+// accesses).  Every phase runs: lookup, observe, prediction, pricing
+// and ranking, issue, eviction.
+void BM_MarkovAccess(benchmark::State& state, trace::Workload workload) {
+  constexpr std::size_t kFrame = 256;
+  const std::vector<trace::BlockId> warm =
+      trace::make_workload(workload, 100'000, 100).blocks();
+  const std::vector<trace::BlockId> timed =
+      trace::make_workload(workload, 100'000, 1).blocks();
+  engine::EngineConfig config;
+  config.cache_blocks = 1024;
+  config.policy.kind = core::policy::PolicyKind::kMarkov;
+  engine::PrefetchEngine eng(config);
+  eng.access_many(warm);
+  const std::span<const trace::BlockId> stream(timed);
+  std::size_t at = 0;
+  for (auto _ : state) {
+    if (at + kFrame > stream.size()) {
+      at = 0;
+    }
+    benchmark::DoNotOptimize(eng.access_many(stream.subspan(at, kFrame)));
+    at += kFrame;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFrame));
+}
+BENCHMARK_CAPTURE(BM_MarkovAccess, cad, trace::Workload::kCad);
+BENCHMARK_CAPTURE(BM_MarkovAccess, snake, trace::Workload::kSnake);
 
 void BM_SnapshotRestore(benchmark::State& state) {
   // Full engine snapshot -> restore round trip over a trained tree: the

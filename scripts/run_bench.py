@@ -14,6 +14,8 @@ Usage:
     scripts/run_bench.py --min-time 1x     # quick smoke pass
     scripts/run_bench.py --compare BENCH_01.json   # diff, don't write
     scripts/run_bench.py --self-test       # exercise the compare logic
+    scripts/run_bench.py --ab /path/to/baseline/micro_benchmarks \
+        --filter 'BM_MarkovAccess.*' --pairs 10   # interleaved A/B
 
 Comparisons print per-benchmark speedup of the fresh run over the named
 snapshot and exit non-zero if any benchmark regressed by more than
@@ -26,11 +28,21 @@ legs like the nightly, where timings inform but must not block.
 Benchmarks missing from the baseline are warned about and skipped (new
 benchmarks must be able to land without tripping the gate); a missing or
 malformed baseline file still exits 2.
+
+--ab <baseline-binary> measures a change against another build of the
+benchmarks on the same host: it runs --pairs interleaved pairs of the
+filtered rows, alternating which binary goes first (baseline/change,
+then change/baseline, ...) so slow drift on a shared host lands on both
+sides.  Each row's per-pair ratio is change items/s over baseline
+items/s (> 1 means the change is faster); the report gives its median,
+min and max, how many pairs the change won and each side's median
+items/s.  Nothing is written.
 """
 
 import argparse
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -156,6 +168,72 @@ def compare(fresh: dict, baseline_path: pathlib.Path, tolerance: float,
     return 0
 
 
+def ab_schedule(pairs: int) -> list:
+    """Run order for --ab: one (pair, side) per run, the first side
+    alternating between pairs ("base" first in even pairs)."""
+    order = []
+    for pair in range(pairs):
+        sides = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        order.extend((pair, side) for side in sides)
+    return order
+
+
+def summarize_ab(base_runs: list, change_runs: list) -> dict:
+    """Per-row per-pair ratios (change / baseline items/s) summarized as
+    {name: {median, min, max, wins, pairs, base, change}}, where base and
+    change are each side's median items/s; rows absent from either side
+    of a pair are left out of that pair."""
+    pairs = {}
+    for base, change in zip(base_runs, change_runs):
+        for name, ips in change.items():
+            ref = base.get(name)
+            if isinstance(ref, (int, float)) and ref > 0:
+                pairs.setdefault(name, []).append((ref, ips))
+    summary = {}
+    for name, sides in pairs.items():
+        ratios = [ips / ref for ref, ips in sides]
+        summary[name] = {
+            "median": statistics.median(ratios),
+            "min": min(ratios),
+            "max": max(ratios),
+            "wins": sum(1 for r in ratios if r > 1.0),
+            "pairs": len(ratios),
+            "base": statistics.median(ref for ref, _ in sides),
+            "change": statistics.median(ips for _, ips in sides),
+        }
+    return summary
+
+
+def run_ab(binary: pathlib.Path, baseline: pathlib.Path, pairs: int,
+           bench_filter: str | None, min_time: str | None) -> int:
+    if not baseline.exists():
+        print(f"baseline binary not found: {baseline}", file=sys.stderr)
+        return 2
+    runs = {"base": [None] * pairs, "change": [None] * pairs}
+    for pair, side in ab_schedule(pairs):
+        target = baseline if side == "base" else binary
+        runs[side][pair] = snapshot(run_benchmarks(target, bench_filter,
+                                                   min_time))
+        print(f"pair {pair + 1}/{pairs}: ran {side}", file=sys.stderr)
+    summary = summarize_ab(runs["base"], runs["change"])
+    if not summary:
+        print("no benchmark ran on both sides (bad --filter?)",
+              file=sys.stderr)
+        return 2
+    print_ab(summary)
+    return 0
+
+
+def print_ab(summary: dict) -> None:
+    width = max(map(len, summary))
+    print(f"{'row':{width}}  median     min     max  wins"
+          f"   base items/s  change items/s")
+    for name, row in sorted(summary.items()):
+        print(f"{name:{width}}  {row['median']:6.3f}x {row['min']:6.3f}x "
+              f"{row['max']:6.3f}x  {row['wins']}/{row['pairs']}"
+              f"  {row['base']:>13,.0f}  {row['change']:>14,.0f}")
+
+
 def self_test() -> int:
     """Exercise compare()'s decision paths without the benchmark binary."""
     fresh = {"BM_A": 100.0, "BM_New": 5.0}
@@ -203,6 +281,31 @@ def self_test() -> int:
         check("slowdown within tolerance exits 0",
               compare(fresh, within, 0.10), 0)
 
+    def expect(name: str, ok: bool) -> None:
+        print(f"self-test: {name}: {'ok' if ok else 'FAIL'}")
+        if not ok:
+            failures.append(name)
+
+    expect("ab pairs alternate which side runs first",
+           ab_schedule(3) == [(0, "base"), (0, "change"),
+                              (1, "change"), (1, "base"),
+                              (2, "base"), (2, "change")])
+    summary = summarize_ab(
+        [{"BM_A": 100.0, "BM_Gone": 1.0}, {"BM_A": 100.0},
+         {"BM_A": 200.0}],
+        [{"BM_A": 150.0, "BM_New": 3.0}, {"BM_A": 90.0},
+         {"BM_A": 240.0}])
+    expect("ab ratios are change over baseline, per pair",
+           summary.get("BM_A") == {"median": 1.2, "min": 0.9, "max": 1.5,
+                                   "wins": 2, "pairs": 3, "base": 100.0,
+                                   "change": 150.0})
+    expect("ab leaves out rows missing on either side",
+           set(summary) == {"BM_A"})
+    with tempfile.TemporaryDirectory() as tmp:
+        expect("ab exits 2 on a missing baseline binary",
+               run_ab(pathlib.Path(tmp) / "absent",
+                      pathlib.Path(tmp) / "absent", 1, None, None) == 2)
+
     if failures:
         print(f"self-test: {len(failures)} failure(s)", file=sys.stderr)
         return 1
@@ -231,6 +334,14 @@ def main() -> int:
                         help="with --compare: report regressions but exit 0 "
                              "(shared-runner legs where timings inform, "
                              "not block)")
+    parser.add_argument("--ab", type=pathlib.Path, default=None,
+                        metavar="BASELINE_BINARY",
+                        help="interleaved A/B against this baseline build "
+                             "of micro_benchmarks; prints per-row ratios, "
+                             "writes nothing")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="with --ab: interleaved pairs to run "
+                             "(default: %(default)s)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the script's own compare-logic checks "
                              "and exit")
@@ -244,6 +355,13 @@ def main() -> int:
               f"build it first: cmake -B build -S . && "
               f"cmake --build build -j", file=sys.stderr)
         return 2
+
+    if args.ab is not None:
+        if args.pairs < 1:
+            print("--pairs must be at least 1", file=sys.stderr)
+            return 2
+        return run_ab(args.binary, args.ab, args.pairs, args.filter,
+                      args.min_time)
 
     raw = run_benchmarks(args.binary, args.filter, args.min_time)
     fresh = snapshot(raw)

@@ -142,11 +142,22 @@ std::size_t DeltaMarkov::predict_into(
     return 0;  // never seen this context: nothing to predict
   }
   next_generation();
-  walk_chains(it->second, limits);
-  const std::size_t kept =
-      order_best(dedup_by_block(), limits.max_candidates);
-  out.insert(out.end(), scratch_.begin(),
-             scratch_.begin() + static_cast<std::ptrdiff_t>(kept));
+  // Walk, dedup and cap in place in the appended region of `out`.
+  const std::size_t first = out.size();
+  walk_chains(it->second, limits, out);
+  const std::span<costben::PredictedBlock> walked(out.data() + first,
+                                                  out.size() - first);
+  const std::size_t survivors = dedup_by_block(walked);
+  const std::size_t kept = std::min(survivors, limits.max_candidates);
+  if (kept < survivors) {
+    // The top max_candidates under a strict total order are one set, so
+    // any selection keeps exactly the candidates a full sort would.
+    std::nth_element(walked.begin(),
+                     walked.begin() + static_cast<std::ptrdiff_t>(kept),
+                     walked.begin() + static_cast<std::ptrdiff_t>(survivors),
+                     ranks_before);
+  }
+  out.resize(first + kept);
   return kept;
 }
 
@@ -167,9 +178,9 @@ void DeltaMarkov::next_generation() const {
   }
 }
 
-void DeltaMarkov::walk_chains(std::uint32_t slot,
-                              const MarkovPredictLimits& limits) const {
-  scratch_.clear();
+void DeltaMarkov::walk_chains(
+    std::uint32_t slot, const MarkovPredictLimits& limits,
+    std::vector<costben::PredictedBlock>& out) const {
   const Row& row = rows_[slot];
   const Transition* t = row_slice(slot);
   for (std::uint32_t i = 0; i < row.size; ++i) {
@@ -183,7 +194,7 @@ void DeltaMarkov::walk_chains(std::uint32_t slot,
     if (first < 0) {
       continue;  // delta walks off the front of the address space
     }
-    scratch_.push_back(costben::PredictedBlock{
+    out.push_back(costben::PredictedBlock{
         static_cast<std::uint64_t>(first), p1, 1.0, 1});
 
     // Greedy chain: extend along each next context's most probable
@@ -204,7 +215,7 @@ void DeltaMarkov::walk_chains(std::uint32_t slot,
       if (base < 0) {
         break;
       }
-      scratch_.push_back(costben::PredictedBlock{
+      out.push_back(costben::PredictedBlock{
           static_cast<std::uint64_t>(base), p, p_prev, depth});
       p_prev = p;
       context = next.delta;
@@ -237,12 +248,13 @@ const DeltaMarkov::StepMemo& DeltaMarkov::successor(
   return memo;
 }
 
-std::size_t DeltaMarkov::dedup_by_block() const {
-  // Every entry is inserted (the cap applies after ordering); keep load
+std::size_t DeltaMarkov::dedup_by_block(
+    std::span<costben::PredictedBlock> entries) const {
+  // Every entry is inserted (the cap applies after dedup); keep load
   // <= 1/2 so probe chains stay short.  The table only grows, so a
   // steady-state call never reallocates it.
   std::size_t want = 16;
-  while (want < scratch_.size() * 2) {
+  while (want < entries.size() * 2) {
     want <<= 1;
   }
   if (seen_.size() < want) {
@@ -252,7 +264,7 @@ std::size_t DeltaMarkov::dedup_by_block() const {
   const int shift = 64 - std::countr_zero(seen_.size());
 
   std::size_t survivors = 0;
-  for (const costben::PredictedBlock& c : scratch_) {
+  for (const costben::PredictedBlock& c : entries) {
     std::size_t i = static_cast<std::size_t>(
         (c.block * 0x9e3779b97f4a7c15ULL) >> shift);
     while (true) {
@@ -260,13 +272,13 @@ std::size_t DeltaMarkov::dedup_by_block() const {
       if (slot.generation != generation_) {
         slot = SeenSlot{c.block, generation_,
                         static_cast<std::uint32_t>(survivors)};
-        scratch_[survivors++] = c;  // survivors <= current index: in place
+        entries[survivors++] = c;  // survivors <= current index: in place
         break;
       }
       if (slot.block == c.block) {
-        // Chains can converge: keep the entry that orders first — the
-        // most probable route, then the shallowest.
-        costben::PredictedBlock& kept = scratch_[slot.index];
+        // Chains can converge: keep the most probable route, then the
+        // shallowest.
+        costben::PredictedBlock& kept = entries[slot.index];
         if (c.probability > kept.probability ||
             (c.probability == kept.probability && c.depth < kept.depth)) {
           kept = c;
@@ -277,37 +289,6 @@ std::size_t DeltaMarkov::dedup_by_block() const {
     }
   }
   return survivors;
-}
-
-std::size_t DeltaMarkov::order_best(std::size_t n, std::size_t cap) const {
-  // Blocks are distinct after dedup, so (probability desc, block asc) is
-  // a strict total order and any correct sort yields the same list.
-  // Insertion sort suits the ~30 survivors, most of which arrive near
-  // their place (each chain's probabilities never increase).
-  const auto before = [](const costben::PredictedBlock& a,
-                         const costben::PredictedBlock& b) {
-    return a.probability > b.probability ||
-           (a.probability == b.probability && a.block < b.block);
-  };
-  costben::PredictedBlock* a = scratch_.data();
-  std::size_t len = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const costben::PredictedBlock c = a[i];
-    if (len == cap) {
-      if (!before(c, a[len - 1])) {
-        continue;  // no better than the worst kept
-      }
-      --len;  // the worst kept drops out
-    }
-    std::size_t j = len;
-    while (j > 0 && before(c, a[j - 1])) {
-      a[j] = a[j - 1];
-      --j;
-    }
-    a[j] = c;
-    ++len;
-  }
-  return len;
 }
 
 std::size_t DeltaMarkov::actual_memory_bytes() const noexcept {

@@ -54,6 +54,17 @@ struct MarkovPredictLimits {
   std::size_t max_candidates = 48;
 };
 
+/// The rank of predictions: probability descending, then block
+/// ascending, a strict total order over a predict_into result (its
+/// blocks are distinct).  A function object, so sorts inline it.
+struct RankOrder {
+  bool operator()(const costben::PredictedBlock& a,
+                  const costben::PredictedBlock& b) const noexcept {
+    return a.probability > b.probability ||
+           (a.probability == b.probability && a.block < b.block);
+  }
+};
+
 class DeltaMarkov {
  public:
   /// One successor-delta entry of a row.
@@ -74,19 +85,26 @@ class DeltaMarkov {
   /// Appends up to `limits.max_candidates` predictions for the current
   /// position; returns the number appended.  Candidates carry
   /// chain-product probabilities and the previous chain element's
-  /// probability as parent_probability.  The order is probability
-  /// descending, then block ascending; a block reached by several chains
-  /// appears once, as its most probable entry (then its shallowest; an
-  /// exact tie keeps the entry the walk reached first).
+  /// probability as parent_probability.  A block reached by several
+  /// chains appears once, as its most probable entry (then its
+  /// shallowest; an exact tie keeps the entry the walk reached first).
   ///
-  /// One allocation-free pass at steady state: the chain walk memoizes
-  /// each context's greedy successor for the call, so converging chains
-  /// cost one index probe per distinct context; duplicates are dropped
-  /// through a generation-stamped table before ordering, which leaves a
-  /// strict total order for a bounded insertion sort of the ~30
-  /// survivors.
+  /// The result is the candidate *set*, in no particular order: when more
+  /// survive than the cap, the best `max_candidates` under ranks_before
+  /// are kept.  Callers that want a ranked list sort by ranks_before;
+  /// the cost-benefit controller ranks only what it prices positive.
+  ///
+  /// One pass, in place in the appended region of `out` (whose capacity
+  /// therefore reaches the walk's size), allocation-free at steady state
+  /// when `out` is reused: the chain walk memoizes each context's greedy
+  /// successor for the call, so converging chains cost one index probe
+  /// per distinct context, and duplicates are dropped through a
+  /// generation-stamped table.
   std::size_t predict_into(const MarkovPredictLimits& limits,
                            std::vector<costben::PredictedBlock>& out) const;
+
+  /// The rank of predictions (see RankOrder).
+  static constexpr RankOrder ranks_before{};
 
   /// The successor deltas recorded after `context`, most frequent first
   /// (empty when the context has no row); valid until the next observe().
@@ -139,7 +157,7 @@ class DeltaMarkov {
     bool live = false;       ///< false: no row or an empty one (chain ends)
   };
   /// Generation-stamped open-addressing dedup slot: a block and the index
-  /// of its surviving entry in scratch_.
+  /// of its surviving entry among the walked entries.
   struct SeenSlot {
     std::uint64_t block = 0;
     std::uint32_t generation = 0;
@@ -165,16 +183,15 @@ class DeltaMarkov {
   // predict_into's passes, in call order.
   /// Starts a call: a fresh generation empties both stamped tables.
   void next_generation() const;
-  /// Appends every chain entry from the row in `slot` to scratch_.
-  void walk_chains(std::uint32_t slot, const MarkovPredictLimits& limits) const;
+  /// Appends every chain entry from the row in `slot` to `out`.
+  void walk_chains(std::uint32_t slot, const MarkovPredictLimits& limits,
+                   std::vector<costben::PredictedBlock>& out) const;
   /// The memoized greedy successor of `context`.
   [[nodiscard]] const StepMemo& successor(std::int64_t context) const;
-  /// Compacts scratch_ to one entry per block; returns the survivors.
-  [[nodiscard]] std::size_t dedup_by_block() const;
-  /// Orders scratch_[0, n) best first, keeping at most `cap`; returns
-  /// the number kept.
-  [[nodiscard]] std::size_t order_best(std::size_t n,
-                                       std::size_t cap) const;
+  /// Compacts `entries` in place to one entry per block; returns the
+  /// survivors.
+  [[nodiscard]] std::size_t dedup_by_block(
+      std::span<costben::PredictedBlock> entries) const;
 
   MarkovConfig config_;
   util::FlatMap<std::int64_t, std::uint32_t> index_;  ///< context -> slot
@@ -190,10 +207,10 @@ class DeltaMarkov {
   bool has_prev_block_ = false;
   bool has_prev_delta_ = false;
 
-  // predict_into staging, reused across calls so prediction allocates
-  // nothing at steady state.  Logically const: prediction never mutates
-  // the chain itself.
-  mutable std::vector<costben::PredictedBlock> scratch_;
+  // predict_into's per-call tables, reused across calls so prediction
+  // allocates nothing at steady state (the walk stages its entries in the
+  // caller's `out`).  Logically const: prediction never mutates the chain
+  // itself.
   mutable std::array<StepMemo, std::size_t{1} << kMemoBits> memo_{};
   mutable std::vector<SeenSlot> seen_;  ///< power-of-two dedup table
   mutable std::uint32_t generation_ = 0;

@@ -3,7 +3,8 @@
 // Every cost-benefit policy runs the same per-period sequence regardless
 // of where its candidates come from:
 //   1. price each candidate with Eq. 1 (through the per-period
-//      BenefitTable) and order by benefit;
+//      BenefitTable), keep those with positive benefit and order them by
+//      benefit (price_and_order);
 //   2. walk best-first, pricing the cheapest replacement victim
 //      (Eq. 11 vs Eq. 13) and Eq. 14's overhead;
 //   3. prefetch while  B(b) - T_oh >= C,  stopping at the per-period cap.
@@ -14,11 +15,19 @@
 // block / probability / parent_probability / depth) instead of a common
 // base keeps the tree's hot path copy-free — the loop body is the exact
 // code the tree family always ran, so extracting it moved no metric pin.
+//
+// Step 1's benefit sort is std::sort, which is not stable, so the issue
+// order among equal benefits depends on the order candidates arrive in
+// (the tree's metric pins depend on it).  Tree and association
+// candidates arrive ranked.  The delta chain hands over an unranked set
+// with its rank, and step 1 ranks only the positive-benefit entries
+// (~5 of ~36) before the sort: the sequence a ranked input would give.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -119,27 +128,18 @@ void admit_predicted_prefetch(Context& ctx, const Candidate& candidate,
   ctx.metrics.sum_prefetch_probability += candidate.probability;
 }
 
-/// Runs selection / pricing / decision over one period's candidates;
-/// returns the number of prefetches issued (callers fold it into the s
-/// estimate).  `order` and `dtpf` are caller-owned scratch reused across
-/// periods so the loop allocates nothing at steady state; `reclaim_one`
-/// evicts exactly one buffer when the controller needs room (policies
-/// route it through reclaim_by_rule or their own override).  Marks the
-/// cost-benefit phase boundary after the pricing sort, exactly where the
-/// tree family always marked it.
-template <typename Candidate, typename ReclaimFn>
-std::uint32_t run_cost_benefit_loop(
-    std::span<const Candidate> candidates, const CostBenefitKnobs& knobs,
-    Context& ctx, std::vector<std::pair<double, std::size_t>>& order,
-    std::vector<double>& dtpf, ReclaimFn&& reclaim_one) {
-  if (candidates.empty()) {
-    return 0;
-  }
-  // s is an EWMA refreshed once per access period, so benefits are fixed
-  // within the loop: tabulate dT_pf once and process best-first.
-  const double s = ctx.estimators.s();
-  const costben::BenefitTable benefit_of(ctx.timing, s, knobs.max_depth,
-                                         dtpf);
+/// Step 1 on its own: fills `order` with (benefit, index) for every
+/// candidate at or above the probability floor whose Eq. 1 benefit is
+/// positive, then orders it best-first.  A `rank` comparator over
+/// candidates first puts those entries in rank order, so an unranked set
+/// orders exactly like the same set ranked up front; with none (nullptr)
+/// the candidates' own order stands.
+template <typename Candidate, typename Rank = std::nullptr_t>
+void price_and_order(std::span<const Candidate> candidates,
+                     const CostBenefitKnobs& knobs,
+                     const costben::BenefitTable& benefit_of,
+                     std::vector<std::pair<double, std::size_t>>& order,
+                     Rank rank = nullptr) {
   const double floor = knobs.probability_floor;
   order.clear();
   order.reserve(candidates.size());
@@ -156,8 +156,38 @@ std::uint32_t run_cost_benefit_loop(
       order.emplace_back(b, i);
     }
   }
+  if constexpr (!std::is_null_pointer_v<Rank>) {
+    std::sort(order.begin(), order.end(),
+              [&](const auto& a, const auto& b) {
+                return rank(candidates[a.second], candidates[b.second]);
+              });
+  }
   std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
+}
+
+/// Runs selection / pricing / decision over one period's candidates;
+/// returns the number of prefetches issued (callers fold it into the s
+/// estimate).  `order` and `dtpf` are caller-owned scratch reused across
+/// periods so the loop allocates nothing at steady state; `reclaim_one`
+/// evicts exactly one buffer when the controller needs room (policies
+/// route it through reclaim_by_rule or their own override); `rank`
+/// orders an unranked candidate set (see price_and_order).  Marks the
+/// cost-benefit phase boundary after the pricing sort, exactly where the
+/// tree family always marked it.
+template <typename Candidate, typename ReclaimFn, typename Rank = std::nullptr_t>
+std::uint32_t run_cost_benefit_loop(
+    std::span<const Candidate> candidates, const CostBenefitKnobs& knobs,
+    Context& ctx, std::vector<std::pair<double, std::size_t>>& order,
+    std::vector<double>& dtpf, ReclaimFn&& reclaim_one, Rank rank = nullptr) {
+  if (candidates.empty()) {
+    return 0;
+  }
+  // s is an EWMA refreshed once per access period, so benefits are fixed
+  // within the loop: tabulate dT_pf once and process best-first.
+  const costben::BenefitTable benefit_of(ctx.timing, ctx.estimators.s(),
+                                         knobs.max_depth, dtpf);
+  price_and_order(candidates, knobs, benefit_of, order, rank);
   util::phase_mark(ctx.phases, util::EnginePhase::kCostBenefit);
 
   std::uint32_t issued = 0;

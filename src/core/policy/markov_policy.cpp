@@ -1,5 +1,6 @@
 #include "core/policy/markov_policy.hpp"
 
+#include <algorithm>
 #include <span>
 
 #include "util/phase.hpp"
@@ -28,9 +29,12 @@ void MarkovCostBenefit::on_access(BlockId block, AccessOutcome outcome,
   knobs.max_depth = config_.limits.max_depth;
   knobs.max_prefetches_per_period = config_.max_prefetches_per_period;
   knobs.refetch = config_.refetch;
+  // The chain hands over an unranked set; the loop ranks only the
+  // candidates it prices positive.
   const std::uint32_t issued = run_cost_benefit_loop(
       std::span<const costben::PredictedBlock>(candidates_), knobs, ctx,
-      order_, dtpf_, [this](Context& c) { reclaim_by_rule(config_.reclaim, c); });
+      order_, dtpf_, [this](Context& c) { reclaim_by_rule(config_.reclaim, c); },
+      markov::DeltaMarkov::ranks_before);
   ctx.estimators.end_period(issued);
 }
 
@@ -56,7 +60,10 @@ bool MarkovCostBenefit::load_predictor_state(util::ByteReader& in) {
 
 std::size_t MarkovCostBenefit::predictions_into(
     std::vector<costben::PredictedBlock>& out) const {
-  return model_.predict_into(config_.limits, out);
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
+  const std::size_t n = model_.predict_into(config_.limits, out);
+  std::sort(out.begin() + first, out.end(), markov::DeltaMarkov::ranks_before);
+  return n;
 }
 
 }  // namespace pfp::core::policy

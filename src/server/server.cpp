@@ -149,6 +149,8 @@ void PrefetchServer::run_loop(const std::size_t index) {
         // reply that fits the socket buffer in one go.
         alive = flush_writes(conn);
       }
+      // Tenants closed by this read are freed once their replies are out.
+      conn.session.release_closed();
       conn.dead = !alive;
     }
     std::erase_if(loop.conns, [](const std::unique_ptr<ServerConn>& conn) {

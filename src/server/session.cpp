@@ -60,6 +60,7 @@ wire::WireMetrics to_wire_metrics(const engine::Metrics& m) {
 }
 
 bool Session::ingest(std::span<const std::uint8_t> bytes) {
+  release_closed();
   if (fatal_) {
     return false;
   }
@@ -214,11 +215,15 @@ void Session::handle_tenant_close(const wire::Frame& frame) {
                 "TENANT_CLOSE carries no payload");
     return;
   }
+  // Hold a reference across the close so the tenant is freed by
+  // release_closed(), after the reply, not inside close().
+  std::shared_ptr<engine::Tenant> tenant = registry_.find(frame.header.tenant);
   const engine::TenantStatus status = registry_.close(frame.header.tenant);
   if (status != engine::TenantStatus::kOk) {
     reply_error(frame.header, to_wire(status), "tenant id not open");
     return;
   }
+  closed_.push_back(std::move(tenant));
   reply(frame.header, wire::MsgType::kTenantCloseReply);
 }
 

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -78,6 +79,12 @@ class Session {
 
   [[nodiscard]] bool fatal() const noexcept { return fatal_; }
 
+  /// Frees the tenants this session's TENANT_CLOSE frames unlinked.  A
+  /// close only unlinks the tenant and queues the reply; the transport
+  /// calls this once the reply is written, so freeing a multi-MB
+  /// predictor never delays it.  The next ingest() frees them too.
+  void release_closed() noexcept { closed_.clear(); }
+
   /// Frames handled since construction (fuzz/test instrumentation).
   [[nodiscard]] std::uint64_t frames_handled() const noexcept {
     return frames_handled_;
@@ -117,6 +124,8 @@ class Session {
   std::uint64_t errors_sent_ = 0;
   // Scratch batch buffer, reused across ACCESS/ACCESS_MANY frames.
   std::vector<trace::BlockId> batch_;
+  /// Closed tenants awaiting release_closed().
+  std::vector<std::shared_ptr<engine::Tenant>> closed_;
 };
 
 }  // namespace pfp::server

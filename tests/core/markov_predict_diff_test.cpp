@@ -7,10 +7,14 @@
 #include <cstdint>
 #include <iostream>
 #include <iterator>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/costben/equations.hpp"
 #include "core/markov/markov_model.hpp"
+#include "core/policy/cost_benefit.hpp"
 #include "markov_reference.hpp"
 #include "trace/workloads.hpp"
 #include "util/prng.hpp"
@@ -225,6 +229,49 @@ TEST(MarkovPredictDiff, MoreCandidatesThanTheCap) {
   expect_fixture_matches(from_deltas(5'000, deltas), config);
 }
 
+TEST(MarkovPredictDiff, CapBoundaryTieIsBrokenByBlockAlone) {
+  // Context +100 splits evenly over sixteen successors, each certain to
+  // return to +100: every chain holds p = 1/16 for two steps and 1/256
+  // for two more, so 32 blocks tie at 1/256 for the last 16 of the 48
+  // slots.  The successors are learned largest delta first, so the walk
+  // reaches the highest blocks first and only the block rank can pick
+  // the kept ones.
+  MarkovConfig config;
+  config.row_width = 16;
+  std::vector<std::int64_t> deltas;
+  for (int k = 15; k >= 0; --k) {
+    deltas.insert(deltas.end(), {100, 17 + 40 * k});
+  }
+  deltas.push_back(100);
+  const std::vector<trace::BlockId> blocks = from_deltas(5'000, deltas);
+
+  DeltaMarkov model(config);
+  ParsePosition pos;
+  for (const trace::BlockId b : blocks) {
+    pos.observe(model, b);
+  }
+  MarkovPredictLimits uncapped;
+  uncapped.max_candidates = 500;
+  const testing::ReferenceResult all =
+      testing::reference_predict(model, pos, uncapped);
+  const MarkovPredictLimits limits;  // max_candidates 48
+  ASSERT_GT(all.entries.size(), limits.max_candidates);
+  const PredictedBlock& last_kept = all.entries[47].candidate;
+  const PredictedBlock& first_dropped = all.entries[48].candidate;
+  ASSERT_EQ(last_kept.probability, first_dropped.probability);
+  ASSERT_LT(last_kept.block, first_dropped.block);
+
+  std::size_t ties = 0;
+  EXPECT_TRUE(matches_reference(model, pos, limits, ties));
+  std::vector<PredictedBlock> out;
+  ASSERT_EQ(model.predict_into(limits, out), 48u);
+  for (const PredictedBlock& c : out) {
+    EXPECT_FALSE(DeltaMarkov::ranks_before(first_dropped, c))
+        << "block " << c.block << " kept over " << first_dropped.block;
+  }
+  expect_fixture_matches(blocks, config);
+}
+
 TEST(MarkovPredictDiff, RowWidthOne) {
   MarkovConfig config;
   config.row_width = 1;
@@ -283,6 +330,93 @@ TEST(MarkovPredictDiff, CountsTiesThatOnlyDifferInParentProbability) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+/// The controller's walk order for one period: the candidates behind
+/// price_and_order's `order`, best-first.
+std::vector<PredictedBlock> walk_order(
+    const std::vector<std::pair<double, std::size_t>>& order,
+    const std::vector<PredictedBlock>& candidates) {
+  std::vector<PredictedBlock> walked;
+  walked.reserve(order.size());
+  for (const auto& [benefit, index] : order) {
+    walked.push_back(candidates[index]);
+  }
+  return walked;
+}
+
+TEST(MarkovPredictDiff, RankingAfterPricingWalksTheRankedListsOrder) {
+  // The controller step the markov policy runs: price the unranked set,
+  // rank the positive-benefit entries, sort by benefit.  Its walk must
+  // equal what pricing the reference's ranked list with no rank gives,
+  // at every access.  The benefit sort is not stable, so this holds only
+  // because the entries reach it in the same sequence.
+  const MarkovPredictLimits limits;
+  policy::CostBenefitKnobs knobs;
+  knobs.max_depth = limits.max_depth;
+  const costben::TimingParams timing;
+  constexpr double kPrefetchRates[] = {0.25, 1.0, 4.0};
+  std::vector<double> dtpf;
+  std::vector<std::pair<double, std::size_t>> order;
+  for (const trace::Workload w : {trace::Workload::kCad,
+                                  trace::Workload::kSnake,
+                                  trace::Workload::kSitar,
+                                  trace::Workload::kCello}) {
+    const trace::Trace t = trace::make_workload(w, 20'000, 1);
+    DeltaMarkov model;
+    ParsePosition pos;
+    std::size_t ties = 0;
+    std::size_t walked_total = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      pos.observe(model, t[i].block);
+      std::vector<PredictedBlock> set;
+      model.predict_into(limits, set);
+      ASSERT_TRUE(matches_reference(model, pos, limits, ties))
+          << trace::workload_name(w) << ", access " << i;
+
+      // The reference's ranked list.  Where it allows several parent
+      // probabilities, take the one the production pass kept (the line
+      // above checked it is allowed) so both lists price identically.
+      std::vector<PredictedBlock> ranked_set = set;
+      std::sort(ranked_set.begin(), ranked_set.end(),
+                DeltaMarkov::ranks_before);
+      const testing::ReferenceResult ref =
+          testing::reference_predict(model, pos, limits);
+      std::vector<PredictedBlock> ranked;
+      for (std::size_t j = 0; j < ref.entries.size(); ++j) {
+        ranked.push_back(ref.entries[j].candidate);
+        if (ref.entries[j].allowed_parents.size() > 1) {
+          ranked.back().parent_probability =
+              ranked_set[j].parent_probability;
+        }
+      }
+
+      const costben::BenefitTable benefit_of(
+          timing, kPrefetchRates[i % std::size(kPrefetchRates)],
+          knobs.max_depth, dtpf);
+      policy::price_and_order(std::span<const PredictedBlock>(set), knobs,
+                              benefit_of, order, DeltaMarkov::ranks_before);
+      const std::vector<PredictedBlock> got = walk_order(order, set);
+      policy::price_and_order(std::span<const PredictedBlock>(ranked), knobs,
+                              benefit_of, order);
+      const std::vector<PredictedBlock> want = walk_order(order, ranked);
+
+      ASSERT_EQ(got.size(), want.size())
+          << trace::workload_name(w) << ", access " << i;
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        ASSERT_TRUE(got[j].block == want[j].block &&
+                    got[j].probability == want[j].probability &&
+                    got[j].parent_probability == want[j].parent_probability &&
+                    got[j].depth == want[j].depth)
+            << trace::workload_name(w) << ", access " << i << ", walk step "
+            << j << ": got block " << got[j].block << ", want block "
+            << want[j].block;
+      }
+      walked_total += got.size();
+    }
+    EXPECT_GT(walked_total, t.size() / 2)
+        << trace::workload_name(w) << ": the controller priced too few";
+  }
 }
 
 }  // namespace

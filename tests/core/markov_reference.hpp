@@ -3,9 +3,11 @@
 // The obviously correct form of DeltaMarkov::predict_into: walk every
 // greedy chain with one index probe per step, sort all entries by
 // (probability desc, block asc, depth asc) with std::sort, then keep the
-// first occurrence of each block up to the cap.  It reads the model only
-// through its public successors() view and mirrors the parse position
-// itself, so it shares no code with the production pass it checks.
+// first occurrence of each block up to the cap.  The result is a ranked
+// list; predict_into's unranked set is compared with it after ranking.
+// It reads the model only through its public successors() view and
+// mirrors the parse position itself, so it shares no code with the
+// production pass it checks.
 //
 // std::sort is not stable: two entries equal in (probability, block,
 // depth) but with different parent probabilities may surface in either
@@ -149,11 +151,12 @@ inline ReferenceResult reference_predict(const DeltaMarkov& model,
   return result;
 }
 
-/// Runs predict_into on `model` after `prefix` and compares it field by
-/// field against the reference: the prefix untouched, the return value
-/// the appended count, every appended entry equal (parent probability
-/// within the allowed set).  Adds the reference's ambiguous ties to
-/// `ambiguous_ties`.
+/// Runs predict_into on `model` after `prefix` and compares the set it
+/// appends field by field against the reference: the prefix untouched,
+/// the return value the appended count, and, once the appended entries
+/// are ranked with DeltaMarkov::ranks_before, every entry equal (parent
+/// probability within the allowed set).  Adds the reference's ambiguous
+/// ties to `ambiguous_ties`.
 inline ::testing::AssertionResult matches_reference(
     const DeltaMarkov& model, const ParsePosition& pos,
     const MarkovPredictLimits& limits, std::size_t& ambiguous_ties,
@@ -178,6 +181,9 @@ inline ::testing::AssertionResult matches_reference(
                                            << " was modified";
     }
   }
+  // predict_into returns a set; the reference is ranked.
+  std::sort(got.begin() + static_cast<std::ptrdiff_t>(prefix.size()),
+            got.end(), DeltaMarkov::ranks_before);
   for (std::size_t i = 0; i < appended; ++i) {
     const costben::PredictedBlock& a = got[prefix.size() + i];
     const ReferenceEntry& b = want.entries[i];
