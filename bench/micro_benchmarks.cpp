@@ -2,6 +2,7 @@
 // the LZ tree parse, candidate enumeration, delta-Markov prediction,
 // cache operations, and whole-simulator throughput per policy.
 #include <benchmark/benchmark.h>
+#include <time.h>
 
 #include <span>
 #include <string>
@@ -333,22 +334,34 @@ const std::vector<trace::BlockId>& cad_blocks() {
   return blocks;
 }
 
-// Shared config for the sharded-throughput family: run routing (the
-// stream is dealt to the shards in 4096-reference runs, so each shard's
-// predictor sees real traversal sequences and every run is one bulk ring
-// transaction) with each shard provisioning its own full-size buffer
-// pool, the scale-out-replicas shape ShardedConfig documents
-// (cache_blocks is PER SHARD).  BENCH_05-era runs hash-partitioned the
-// block space and split one 1024-block budget across the shards; that
-// configuration is kept measurable as BM_ShardedThroughputHashed below —
-// the gap between the two is predictor-locality tax, not hand-off cost
-// (docs/perf.md, "Batched hand-off").
+// Process CPU time in ns: every thread, so a sharded row's workers are
+// charged, spinning or not.
+double process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+}
+
+// Reports process CPU per access as the "cpu_ns_per_access" counter, so
+// a sharded row's CPU cost reads directly against BM_AccessMany/1's.
+void report_cpu_per_access(benchmark::State& state, double cpu_ns,
+                           std::size_t accesses_per_iteration) {
+  state.counters["cpu_ns_per_access"] =
+      cpu_ns / (static_cast<double>(state.iterations()) *
+                static_cast<double>(accesses_per_iteration));
+}
+
+// Shared config for the sharded-throughput family: the stream is dealt
+// to the shards in 4096-reference runs, so each shard's predictor sees
+// real traversal sequences and every run is one bulk ring transaction,
+// with each shard provisioning its own full-size buffer pool, the
+// scale-out-replicas shape ShardedConfig documents (cache_blocks is PER
+// SHARD).
 engine::ShardedConfig sharded_bench_config(std::uint32_t shards) {
   engine::ShardedConfig config;
   config.engine.cache_blocks = 1024;
   config.engine.policy.kind = core::policy::PolicyKind::kTreeNextLimit;
   config.shards = shards;
-  config.routing = engine::Routing::kRuns;
   config.run_length = 4096;
   // Deep rings decouple the producer from the workers: on a single-core
   // host a shallow ring forces a context switch every few thousand
@@ -361,57 +374,31 @@ engine::ShardedConfig sharded_bench_config(std::uint32_t shards) {
   return config;
 }
 
-// Aggregate throughput of the sharded engine on the batched hand-off
-// path: one producer routing the CAD trace through access_many()
-// (per-shard staging buffers, bulk ring transactions), N worker threads
-// pulling variable-size runs and running the full per-access state
-// machine through the engine's batched loop.  items/s is the aggregate
-// access rate; compare Arg(N) against Arg(1) for the scale-out factor.
-// NOTE: scaling requires real cores — on a single-core host the workers
-// serialize, but run routing + the bulk hand-off keep the aggregate at
-// the single-engine state-machine rate instead of BENCH_05's ~2.6x
-// collapse (BENCH_06 vs BENCH_05 in docs/perf.md).
+// Aggregate throughput of the sharded engine: one producer handing the
+// CAD trace to access_many() (run-sized slices copied straight into the
+// shard rings), N worker threads popping batches and running the full
+// per-access state machine through the engine's batched loop.  items/s
+// is the aggregate access rate; compare Arg(N) against Arg(1) for the
+// scale-out factor (docs/perf.md, "Sharding").  cpu_ns_per_access
+// charges the workers too; Arg(1) against BM_AccessMany/1 is the
+// hand-off's CPU overhead.
 void BM_ShardedThroughput(benchmark::State& state) {
   const auto& blocks = cad_blocks();
   const auto shards = static_cast<std::uint32_t>(state.range(0));
+  const double cpu_start = process_cpu_ns();
   for (auto _ : state) {
     engine::ShardedEngine eng(sharded_bench_config(shards));
     eng.access_many(blocks);
     eng.flush();
     benchmark::DoNotOptimize(eng.merged_metrics());
   }
+  report_cpu_per_access(state, process_cpu_ns() - cpu_start, blocks.size());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(blocks.size()));
 }
 BENCHMARK(BM_ShardedThroughput)
     ->Arg(1)
     ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// The BENCH_05-era configuration: hash-partitioned block space with one
-// 1024-block buffer budget split across the shards, now on the batched
-// hand-off.  Kept so the predictor-locality tax of key partitioning
-// stays measured — this number barely moves between push-one and
-// batched hand-off because the state machine, not the ring, dominates.
-void BM_ShardedThroughputHashed(benchmark::State& state) {
-  const auto& blocks = cad_blocks();
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    engine::ShardedConfig config;
-    config.engine.cache_blocks = 1024 / shards;
-    config.engine.policy.kind = core::policy::PolicyKind::kTreeNextLimit;
-    config.shards = shards;
-    engine::ShardedEngine eng(config);
-    eng.access_many(blocks);
-    eng.flush();
-    benchmark::DoNotOptimize(eng.merged_metrics());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(blocks.size()));
-}
-BENCHMARK(BM_ShardedThroughputHashed)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
@@ -424,6 +411,7 @@ BENCHMARK(BM_ShardedThroughputHashed)
 void BM_AccessMany(benchmark::State& state) {
   const auto& blocks = cad_blocks();
   const bool batched = state.range(0) != 0;
+  const double cpu_start = process_cpu_ns();
   for (auto _ : state) {
     engine::EngineConfig config;
     config.cache_blocks = 1024;
@@ -438,56 +426,12 @@ void BM_AccessMany(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(eng.metrics());
   }
+  report_cpu_per_access(state, process_cpu_ns() - cpu_start, blocks.size());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(blocks.size()));
   state.SetLabel(batched ? "access_many" : "push_one");
 }
 BENCHMARK(BM_AccessMany)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// Zipf hot-key mitigation head-to-head: a skewed stream (a handful of
-// hot blocks carrying half the references, the rest uniform) routed
-// through the batched hand-off under each HotKeyStrategy.  Arg 0 =
-// kNone, 1 = kBatchRuns, 2 = kRebalance.  The comparison table in
-// docs/perf.md is generated from these numbers.
-void BM_ShardedHotKeys(benchmark::State& state) {
-  static const std::vector<trace::BlockId> zipf = [] {
-    std::vector<trace::BlockId> out;
-    out.reserve(100'000);
-    util::Xoshiro256 rng(11);
-    for (int i = 0; i < 100'000; ++i) {
-      if (rng.below(2) == 0) {
-        out.push_back(rng.below(8));  // 8 hot blocks, half the stream
-      } else {
-        out.push_back(8 + rng.below(100'000));
-      }
-    }
-    return out;
-  }();
-  const auto strategy =
-      static_cast<engine::HotKeyStrategy>(state.range(0));
-  for (auto _ : state) {
-    engine::ShardedConfig config;
-    config.engine.cache_blocks = 256;
-    config.engine.policy.kind = core::policy::PolicyKind::kTreeNextLimit;
-    config.shards = 4;
-    config.hot_keys = strategy;
-    engine::ShardedEngine eng(config);
-    eng.access_many(zipf);
-    eng.flush();
-    benchmark::DoNotOptimize(eng.merged_metrics());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(zipf.size()));
-  state.SetLabel(state.range(0) == 0
-                     ? "none"
-                     : (state.range(0) == 1 ? "batch_runs" : "rebalance"));
-}
-BENCHMARK(BM_ShardedHotKeys)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 }  // namespace
 

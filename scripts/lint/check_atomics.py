@@ -24,8 +24,8 @@ capability analysis.  This linter enforces the repo's ordering rules:
   role-comment      every `std::atomic<...>` variable declaration — and
                     every field guarded by a thread-role capability
                     (`PFP_GUARDED_BY(<...>role<...>)`, e.g. the SPSC
-                    cached indices and the sharded engine's staging
-                    buffers) — carries `// writers: ...  readers: ...`
+                    cached indices and the sharded engine's producer
+                    counter) — carries `// writers: ...  readers: ...`
                     comments within the six lines above it, so the
                     single-writer contracts the thread-safety roles
                     assert are also written down where the data lives.
@@ -76,7 +76,8 @@ SOURCE_SUFFIXES = {".hpp", ".cpp"}
 # std::atomic or perform an atomic operation.  Keep sorted.
 ATOMIC_FILES = {
     "src/core/tree/prefetch_tree.cpp",   # uid counter for tree instances
-    "src/engine/sharded_engine.cpp",     # stop flag + processed counters
+    "src/engine/sharded_engine.cpp",     # stop flag, processed counters,
+                                         # wait/notify bells
     "src/engine/sharded_engine.hpp",
     "src/obs/counters.hpp",              # single-writer cells + seqlock
     "src/obs/trace_ring.hpp",            # single-writer event ring
@@ -104,7 +105,7 @@ ATOMIC_DECL_RE = re.compile(r"\bstd\s*::\s*atomic(?:_flag\b|\s*<)")
 # A field guarded by a thread-role capability (not a mutex): the
 # capability expression names a role, e.g. PFP_GUARDED_BY(producer_role)
 # or PFP_GUARDED_BY(queue.consumer_role).  These are the cross-thread
-# single-writer contracts (SPSC cached indices, staging buffers), so
+# single-writer contracts (SPSC cached indices, producer counters), so
 # they carry the same writers:/readers: documentation duty as atomics.
 ROLE_GUARDED_RE = re.compile(r"\bPFP_GUARDED_BY\s*\(\s*[\w.>\-]*role\w*\s*\)")
 OP_CALL_RE = re.compile(
@@ -618,16 +619,16 @@ SELF_TEST_CASES = [
      "    std::memory_order_relaxed);\n"
      "  tail_.store(t + n, std::memory_order_release); }\n",
      None),
-    # Role-guarded fields (staging buffers, cached indices) need the
+    # Role-guarded fields (producer counters, cached indices) need the
     # writers:/readers: contract like atomics do.
     ("role-guarded-missing-comment",
      "src/engine/sharded_engine.hpp",
-     "std::vector<int> staged PFP_GUARDED_BY(queue.producer_role);\n",
+     "std::uint64_t pushed PFP_GUARDED_BY(queue.producer_role) = 0;\n",
      "role-comment"),
     ("role-guarded-with-comment",
      "src/engine/sharded_engine.hpp",
      "// writers: producer thread  readers: producer thread\n"
-     "std::vector<int> staged PFP_GUARDED_BY(queue.producer_role);\n",
+     "std::uint64_t pushed PFP_GUARDED_BY(queue.producer_role) = 0;\n",
      None),
     ("mutex-guarded-exempt",
      "src/util/thread_pool.hpp",

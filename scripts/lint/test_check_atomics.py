@@ -224,19 +224,19 @@ class RoleCommentRule(LintHarness):
         self.assertEqual(self.rules(found), set())
 
     def test_role_guarded_field_without_comment_fires(self) -> None:
-        # The batched hand-off's staging buffers are plain (non-atomic)
-        # fields whose cross-thread contract is a role capability; they
-        # carry the same documentation duty as atomics.
+        # The sharded engine's producer counter is a plain (non-atomic)
+        # field whose cross-thread contract is a role capability; it
+        # carries the same documentation duty as atomics.
         found = self.lint_file(
             "src/engine/sharded_engine.hpp",
-            "std::vector<int> staged PFP_GUARDED_BY(queue.producer_role);\n")
+            "std::uint64_t pushed PFP_GUARDED_BY(queue.producer_role) = 0;\n")
         self.assertIn("role-comment", self.rules(found))
 
     def test_role_guarded_field_with_comment_silences(self) -> None:
         found = self.lint_file(
             "src/engine/sharded_engine.hpp",
             "// writers: producer thread  readers: producer thread\n"
-            "std::vector<int> staged PFP_GUARDED_BY(queue.producer_role);\n")
+            "std::uint64_t pushed PFP_GUARDED_BY(queue.producer_role) = 0;\n")
         self.assertEqual(self.rules(found), set())
 
     def test_bare_role_capability_spelling_fires_too(self) -> None:

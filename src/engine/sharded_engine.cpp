@@ -1,23 +1,14 @@
 #include "engine/sharded_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "obs/trace_ring.hpp"
-#include "util/backoff.hpp"
 
 namespace pfp::engine {
 
 namespace {
-
-// SplitMix64 finalizer: cheap, stable, and mixes low-entropy block ids
-// (sequential file offsets) evenly across shards.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Runs before the thread pool spins up (member-init order), so a bad
 // shard count can never spawn a runaway number of workers first.
@@ -29,33 +20,14 @@ ShardedConfig validated(ShardedConfig config) {
     throw std::invalid_argument(
         "ShardedConfig: shards must be at most 1024");
   }
-  if (config.flush_threshold_min == 0) {
-    throw std::invalid_argument(
-        "ShardedConfig: flush_threshold_min must be at least 1");
-  }
-  if (config.flush_threshold_max < config.flush_threshold_min) {
-    throw std::invalid_argument(
-        "ShardedConfig: flush_threshold_max must be >= flush_threshold_min");
-  }
-  if (config.hot_keys != HotKeyStrategy::kNone &&
-      config.hot_key_capacity == 0) {
-    throw std::invalid_argument(
-        "ShardedConfig: hot_key_capacity must be at least 1");
-  }
   if (config.run_length == 0) {
     throw std::invalid_argument(
         "ShardedConfig: run_length must be at least 1");
   }
-  if (config.routing == Routing::kRuns &&
-      config.hot_keys == HotKeyStrategy::kRebalance) {
-    throw std::invalid_argument(
-        "ShardedConfig: kRebalance re-routes by key; run routing has no "
-        "per-key shard affinity to rebalance");
-  }
   if (config.engine.policy.kind ==
       core::policy::PolicyKind::kPerfectSelector) {
-    // The oracle sees the next reference only within a worker's run, and
-    // where runs are cut depends on thread timing.
+    // The oracle sees the next reference only within a worker's batch,
+    // and where batches are cut depends on thread timing.
     throw std::invalid_argument(
         "ShardedConfig: perfect-selector needs the whole future stream and "
         "cannot run sharded");
@@ -64,19 +36,22 @@ ShardedConfig validated(ShardedConfig config) {
   return config;
 }
 
+// A bell change is what releases a wait() on it; the release pairs with
+// the waiter's acquire load, so whatever was published before the ring
+// is visible to a waiter that sees the new value.
+void ring_bell(std::atomic<std::uint32_t>& bell) {
+  bell.fetch_add(1, std::memory_order_release);
+  bell.notify_one();
+}
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(ShardedConfig config)
     : config_(validated(config)), pool_(config_.shards) {
-  if (config_.hot_keys != HotKeyStrategy::kNone) {
-    hot_sketch_.emplace(config_.hot_key_capacity);
-  }
   shards_.reserve(config_.shards);
   for (std::uint32_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        config_.engine, config_.queue_capacity, config_.flush_threshold_min));
-    shards_.back()->queue.assert_producer();  // constructing thread
-    shards_.back()->staged.reserve(config_.flush_threshold_max);
+    shards_.push_back(
+        std::make_unique<Shard>(config_.engine, config_.queue_capacity));
   }
   // Thread-per-shard: each worker occupies one pool thread for the
   // engine's whole lifetime, which is why the pool is sized to shards.
@@ -88,10 +63,10 @@ ShardedEngine::ShardedEngine(ShardedConfig config)
 }
 
 ShardedEngine::~ShardedEngine() {
-  // Staged residue must reach the rings before the workers are told to
-  // stop, or those accesses would be lost.
-  drain();
   stop_.store(true, std::memory_order_release);
+  for (auto& shard : shards_) {
+    ring_bell(shard->work_bell);
+  }
   for (auto& future : workers_) {
     try {
       future.get();
@@ -102,118 +77,62 @@ ShardedEngine::~ShardedEngine() {
   }
 }
 
-std::uint32_t ShardedEngine::shard_of(trace::BlockId block) const noexcept {
-  return static_cast<std::uint32_t>(mix64(block) %
-                                    shards_.size());
-}
-
-std::uint32_t ShardedEngine::rendezvous_shard(
-    trace::BlockId block) const noexcept {
-  // Highest-random-weight choice over the shards with a hash stream
-  // independent of the base partition (different per-shard salt), so a
-  // clump of hot keys that mix64 % shards co-located gets spread out.
-  std::uint32_t best = 0;
-  std::uint64_t best_score = 0;
-  for (std::uint32_t i = 0; i < shards(); ++i) {
-    const std::uint64_t score =
-        mix64(block ^ (0xa0761d6478bd642fULL * (i + 1)));
-    if (score > best_score) {
-      best_score = score;
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::uint32_t ShardedEngine::route(trace::BlockId block) {
-  if (hot_sketch_.has_value()) {
-    hot_sketch_->record(block);
-    if (config_.hot_keys == HotKeyStrategy::kRebalance &&
-        hot_sketch_->is_heavy(block, config_.hot_key_min_count)) {
-      // kRebalance implies kHash routing (validated()), so this is the
-      // only detour from the base partition.
-      return rendezvous_shard(block);
-    }
-  }
-  if (config_.routing == Routing::kRuns) {
-    // Deal the stream out in run_length-sized slices: a pure function of
-    // the reference's position, so the partition does not depend on how
-    // the stream is split into access_many() calls.
-    return static_cast<std::uint32_t>((routed_++ / config_.run_length) %
-                                      shards_.size());
-  }
-  return shard_of(block);
-}
-
 void ShardedEngine::access_many(std::span<const trace::BlockId> blocks) {
-  for (const trace::BlockId block : blocks) {
-    Shard& shard = *shards_[route(block)];
-    shard.queue.assert_producer();
-    shard.staged.push_back(block);
-    std::size_t threshold = shard.flush_threshold;
-    if (config_.hot_keys == HotKeyStrategy::kBatchRuns &&
-        hot_sketch_->is_heavy(block, config_.hot_key_min_count)) {
-      // Hot shard: let the run grow to the maximum so the hammered ring
-      // gets the cheapest possible per-element hand-off.  Flush timing
-      // only — per-shard order is untouched.
-      threshold = config_.flush_threshold_max;
-    }
-    if (shard.staged.size() >= threshold) {
-      flush_staged(shard);
-    }
+  // The deal is a pure function of the stream position, so the partition
+  // does not depend on how the stream is split into calls.
+  while (!blocks.empty()) {
+    const std::uint64_t run = routed_ / config_.run_length;
+    const std::size_t left_in_run =
+        config_.run_length -
+        static_cast<std::size_t>(routed_ % config_.run_length);
+    const std::size_t n = std::min(blocks.size(), left_in_run);
+    push(*shards_[run % shards_.size()], blocks.first(n));
+    routed_ += n;
+    blocks = blocks.subspan(n);
   }
 }
 
-void ShardedEngine::flush_staged(Shard& shard) {
+void ShardedEngine::push(Shard& shard, std::span<const trace::BlockId> slice) {
   shard.queue.assert_producer();
   shard.push_waits.assert_writer();
-  std::span<const trace::BlockId> rest(shard.staged);
-  util::Backoff backoff;
-  bool waited = false;
-  while (!rest.empty()) {
-    const std::size_t accepted = shard.queue.try_push_n(rest);
+  while (!slice.empty()) {
+    // Read the bell before trying: a batch the worker finishes after the
+    // failed try changes it, so the wait below cannot miss the space.
+    const std::uint32_t bell = shard.done_bell.load(std::memory_order_acquire);
+    const std::size_t accepted = shard.queue.try_push_n(slice);
     if (accepted == 0) {
-      waited = true;
+      ring_bell(shard.work_bell);  // a full ring only drains if its worker runs
       shard.push_waits.inc();
-      backoff.wait();
+      shard.done_bell.wait(bell, std::memory_order_acquire);
       continue;
     }
-    rest = rest.subspan(accepted);
-    backoff.reset();
+    shard.pushed += accepted;
+    slice = slice.subspan(accepted);
   }
-  shard.pushed += shard.staged.size();
-  shard.staged.clear();
-  // Adapt the run length to the worker: backpressure means it is behind
-  // (longer runs amortize the hand-off the producer is stalled on
-  // anyway); instant full acceptance means it keeps up (shorter runs
-  // hand work over sooner instead of parking it in the staging buffer).
-  if (waited) {
-    shard.flush_threshold =
-        std::min(shard.flush_threshold * 2, config_.flush_threshold_max);
-  } else {
-    shard.flush_threshold =
-        std::max(shard.flush_threshold - shard.flush_threshold / 4,
-                 config_.flush_threshold_min);
-  }
-}
-
-void ShardedEngine::drain() {
-  for (auto& shard : shards_) {
-    shard->queue.assert_producer();
-    if (!shard->staged.empty()) {
-      flush_staged(*shard);
-    }
+  // Wake the worker only once its ring holds a pop batch (or half the
+  // ring, if that is smaller).  A worker that is awake drains the ring
+  // before it sleeps again, so a trickle of one-reference calls costs a
+  // futex wake per pop batch, not one per reference; what is left below
+  // the mark is picked up by the next wake, a full ring or flush().
+  if (shard.queue.size() >=
+      std::min(kPopBatch, shard.queue.capacity() / 2)) {
+    ring_bell(shard.work_bell);
   }
 }
 
 void ShardedEngine::flush() {
-  drain();
   for (auto& shard : shards_) {
     shard->queue.assert_producer();  // `pushed` is producer-guarded
-    util::Backoff backoff;
-    while (shard->processed.load(std::memory_order_acquire) <
-           shard->pushed) {
-      backoff.wait();
+    if (shard->processed.load(std::memory_order_acquire) < shard->pushed) {
+      ring_bell(shard->work_bell);  // it may be asleep below the wake mark
+    }
+    for (;;) {
+      const std::uint32_t bell =
+          shard->done_bell.load(std::memory_order_acquire);
+      if (shard->processed.load(std::memory_order_acquire) >= shard->pushed) {
+        break;
+      }
+      shard->done_bell.wait(bell, std::memory_order_acquire);
     }
   }
 }
@@ -259,33 +178,30 @@ void ShardedEngine::write_chrome_trace(std::ostream& out) {
 
 void ShardedEngine::worker(Shard& shard) {
   // This thread is the shard's unique consumer and the only thread that
-  // ever touches shard.engine after construction.  It pulls
-  // variable-size runs in one bulk ring transaction each and feeds them
-  // through the engine's batched loop, so both ends of the ring and the
-  // per-access setup are amortized over the run.
+  // ever touches shard.engine after construction.  It pulls up to
+  // kPopBatch references per ring transaction and feeds them through the
+  // engine's batched loop, so both ends of the ring and the per-access
+  // setup are amortized over the batch.
   shard.queue.assert_consumer();
-  std::vector<trace::BlockId> run(config_.flush_threshold_max);
-  util::Backoff backoff;
+  std::array<trace::BlockId, kPopBatch> batch{};
   for (;;) {
-    const std::size_t n = shard.queue.try_pop_n(run.data(), run.size());
+    // Bell first, then stop, then the ring: a wake or stop after the bell
+    // read changes the bell, so the wait below cannot sleep through it;
+    // and once stop reads true every reference pushed before it is
+    // visible, so an empty pop then means the ring is drained for good.
+    const std::uint32_t bell = shard.work_bell.load(std::memory_order_acquire);
+    const bool stopping = stop_.load(std::memory_order_acquire);
+    const std::size_t n = shard.queue.try_pop_n(batch.data(), batch.size());
     if (n > 0) {
-      shard.engine.access_many(std::span(run.data(), n));
+      shard.engine.access_many(std::span(batch.data(), n));
       shard.processed.fetch_add(n, std::memory_order_release);
-      backoff.reset();
+      ring_bell(shard.done_bell);
       continue;
     }
-    if (stop_.load(std::memory_order_acquire)) {
-      // Drain anything that raced in before stop was observed.
-      for (;;) {
-        const std::size_t tail = shard.queue.try_pop_n(run.data(), run.size());
-        if (tail == 0) {
-          return;
-        }
-        shard.engine.access_many(std::span(run.data(), tail));
-        shard.processed.fetch_add(tail, std::memory_order_release);
-      }
+    if (stopping) {
+      return;
     }
-    backoff.wait();
+    shard.work_bell.wait(bell, std::memory_order_acquire);
   }
 }
 

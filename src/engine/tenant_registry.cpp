@@ -14,9 +14,6 @@ ShardedConfig sharded_config(const TenantConfig& config) {
   sharded.engine = config.engine;
   sharded.shards = config.shards;
   sharded.queue_capacity = config.queue_capacity;
-  // Run routing keeps each shard on contiguous stream segments, so the
-  // predictor chains survive sharding (docs/perf.md, "Batched hand-off").
-  sharded.routing = Routing::kRuns;
   return sharded;
 }
 

@@ -2,7 +2,7 @@
 // drives.
 //
 // One Tenant owns one isolated prefetching stack — a PrefetchEngine, or
-// a ShardedEngine (Routing::kRuns) for large tenants — plus the tenant's
+// a run-routed ShardedEngine for large tenants — plus the tenant's
 // name and a per-tenant mutex that serializes every mutating call.  The
 // registry maps client-chosen 16-bit tenant ids to live tenants and owns
 // the open/close/restore state machine (docs/server.md, "Tenant
@@ -70,8 +70,8 @@ struct TenantConfig {
   std::string name;  ///< metrics label (Prometheus tenant="...")
   EngineConfig engine;
   /// 0 or 1 = a single PrefetchEngine; >= 2 = ShardedEngine with this
-  /// many shards under Routing::kRuns (contiguous stream runs per shard,
-  /// the scale-out-replicas shape — see sharded_engine.hpp).
+  /// many shards (contiguous stream runs per shard, the
+  /// scale-out-replicas shape — see sharded_engine.hpp).
   std::uint32_t shards = 0;
   /// Per-shard ring capacity for sharded tenants.
   std::size_t queue_capacity = 8192;
@@ -116,8 +116,8 @@ class Tenant {
   AccessResult access(trace::BlockId block) PFP_REQUIRES(mu_);
 
   /// A whole batch.  Plain tenants run it synchronously and return exact
-  /// per-batch counts; sharded tenants stage/route it and return zeroed
-  /// counts (STATS is the source of truth once flushed).
+  /// per-batch counts; sharded tenants hand it to the shard rings and
+  /// return zeroed counts (STATS is the source of truth once flushed).
   BatchResult access_many(std::span<const trace::BlockId> blocks)
       PFP_REQUIRES(mu_);
 

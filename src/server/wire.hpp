@@ -162,7 +162,7 @@ struct TenantOpenRequest {
   std::string policy;      ///< core::policy kind name ("tree", "markov", ...)
   std::uint64_t cache_blocks = 1024;
   /// 0 or 1 = one PrefetchEngine; >= 2 = a ShardedEngine with this many
-  /// shards (Routing::kRuns, so each shard sees contiguous stream runs).
+  /// shards (run-routed, so each shard sees contiguous stream runs).
   std::uint32_t shards = 0;
 };
 

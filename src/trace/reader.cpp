@@ -1,11 +1,14 @@
 #include "trace/reader.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cstring>
+#include <cstdint>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <string>
 
+#include "util/binary_io.hpp"
 #include "util/string_utils.hpp"
 
 namespace pfp::trace {
@@ -14,32 +17,8 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'P', 'F', 'P', 'T'};
 constexpr std::uint16_t kVersion = 1;
-
-std::uint64_t read_u64le(std::istream& in) {
-  std::array<unsigned char, 8> buf{};
-  in.read(reinterpret_cast<char*>(buf.data()), buf.size());
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | buf[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
-std::uint32_t read_u32le(std::istream& in) {
-  std::array<unsigned char, 4> buf{};
-  in.read(reinterpret_cast<char*>(buf.data()), buf.size());
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | buf[static_cast<std::size_t>(i)];
-  }
-  return v;
-}
-
-std::uint16_t read_u16le(std::istream& in) {
-  std::array<unsigned char, 2> buf{};
-  in.read(reinterpret_cast<char*>(buf.data()), buf.size());
-  return static_cast<std::uint16_t>(buf[0] | (buf[1] << 8));
-}
+/// One record on disk: u64 block + u32 stream.
+constexpr std::size_t kRecordBytes = 12;
 
 bool ends_with(const std::string& text, const std::string& suffix) {
   return text.size() >= suffix.size() &&
@@ -87,26 +66,30 @@ Trace read_text(std::istream& in, const std::string& name) {
 }
 
 Trace read_binary(std::istream& in, const std::string& name) {
-  std::array<char, 4> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) {
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  util::ByteReader reader(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
+  if (!reader.read_magic(kMagic)) {
     throw TraceFormatError("not a PFPT binary trace");
   }
-  const auto version = read_u16le(in);
+  const auto version = reader.read_u16();
+  const auto count = reader.read_u64();
+  if (!reader.ok()) {
+    throw TraceFormatError("truncated PFPT header");
+  }
   if (version != kVersion) {
     throw TraceFormatError("unsupported PFPT version " +
                            std::to_string(version));
   }
-  const auto count = read_u64le(in);
-  if (!in) {
-    throw TraceFormatError("truncated PFPT header");
-  }
   Trace trace(name);
-  trace.reserve(count);
+  // The header's count is untrusted: reserve only what the bytes can hold.
+  trace.reserve(std::min<std::uint64_t>(count,
+                                        reader.remaining() / kRecordBytes));
   for (std::uint64_t i = 0; i < count; ++i) {
-    const auto block = read_u64le(in);
-    const auto stream = read_u32le(in);
-    if (!in) {
+    const auto block = reader.read_u64();
+    const auto stream = reader.read_u32();
+    if (!reader.ok()) {
       throw TraceFormatError("truncated PFPT body at record " +
                              std::to_string(i));
     }

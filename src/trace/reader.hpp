@@ -25,7 +25,10 @@ class TraceFormatError : public std::runtime_error {
 /// Parses the text format.  The trace name is taken from `name`.
 Trace read_text(std::istream& in, const std::string& name);
 
-/// Parses the binary format.
+/// Parses the binary format.  Reads `in` to its end into one transient
+/// buffer and decodes the bytes in memory, so peak memory is the input's
+/// size plus the decoded Trace; bytes after the counted records are
+/// ignored.
 Trace read_binary(std::istream& in, const std::string& name);
 
 /// Opens `path` and dispatches on extension: ".pfpt" binary, else text.

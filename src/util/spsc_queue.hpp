@@ -75,8 +75,8 @@ class SpscQueue {
 
   /// Producer side, bulk: appends as many of `values` as currently fit,
   /// front-first, and publishes them all under ONE release store — the
-  /// whole point of the batched hand-off (docs/perf.md, "Batched
-  /// hand-off").  The copy crosses the wrap seam in at most two
+  /// whole point of the slice hand-off (docs/perf.md, "Sharding").  The
+  /// copy crosses the wrap seam in at most two
   /// contiguous segments.  Returns the number accepted (0 when full);
   /// partial acceptance is normal when the ring is nearly full, and the
   /// caller retries with the remaining suffix.

@@ -55,7 +55,7 @@ TEST(ShardedObs, MergedStatsMatchMergedMetrics) {
 TEST(ShardedObs, MergedStatsAreAPureFunctionOfTraceAndShardCount) {
   // Re-running the same stream through a fresh sharded engine must
   // reproduce the merged counters exactly, independent of worker timing:
-  // the hash partition fixes each shard's sub-stream, each shard is
+  // the positional deal fixes each shard's sub-stream, each shard is
   // deterministic on its sub-stream, and the merge folds in shard order.
   if (!obs::kEnabled) {
     GTEST_SKIP() << "PFP_OBS compiled out";
@@ -129,7 +129,7 @@ TEST(ShardedObs, BackpressureWaitsSurfaceInMergedView) {
   if (!obs::kEnabled) {
     GTEST_SKIP() << "PFP_OBS compiled out";
   }
-  // A tiny queue forces the producer to spin at least occasionally on a
+  // A tiny queue forces the producer to wait at least occasionally on a
   // 1-shard engine driven with many references.
   ShardedConfig config = sharded_config(1);
   config.queue_capacity = 2;

@@ -107,10 +107,10 @@ TEST(ShardedStress, MetricsReadsAfterFlushAreStable) {
   }
 }
 
-TEST(ShardedStress, BulkHandoffWithInterleavedDrainsAndFlushes) {
-  // The batched path under TSan: staging-buffer flushes (bulk
-  // try_push_n) racing bulk worker pops (try_pop_n) on small rings,
-  // with drain()/flush() mixed in mid-stream.
+TEST(ShardedStress, BulkHandoffWithInterleavedFlushes) {
+  // The slice hand-off under TSan: bulk try_push_n racing bulk worker
+  // pops (try_pop_n) on rings smaller than a run, with flush() mixed in
+  // mid-stream.
   const auto t = cad_trace(100'000 * stress_scale());
   std::vector<trace::BlockId> blocks;
   blocks.reserve(t.size());
@@ -125,10 +125,7 @@ TEST(ShardedStress, BulkHandoffWithInterleavedDrainsAndFlushes) {
                                                 1 + (round * 131) % 997);
     eng.access_many({blocks.data() + i, n});
     i += n;
-    if (++round % 17 == 0) {
-      eng.drain();
-    }
-    if (round % 61 == 0) {
+    if (++round % 61 == 0) {
       eng.flush();
     }
   }
@@ -138,10 +135,10 @@ TEST(ShardedStress, BulkHandoffWithInterleavedDrainsAndFlushes) {
             blocks.size());
 }
 
-TEST(ShardedStress, BulkDestructionDrainsStagedAndQueuedWork) {
-  // Tear down with work both staged in the producer buffers and queued
-  // in the rings: the destructor must flush the staging residue to the
-  // rings and the workers must drain them.
+TEST(ShardedStress, BulkDestructionDrainsQueuedWork) {
+  // Tear down right after one whole-span hand-off, with the rings still
+  // full: the stop must wake every worker and each must drain its ring
+  // first.
   const auto t = cad_trace(30'000 * stress_scale());
   std::vector<trace::BlockId> blocks;
   blocks.reserve(t.size());
@@ -151,31 +148,9 @@ TEST(ShardedStress, BulkDestructionDrainsStagedAndQueuedWork) {
   for (std::uint64_t round = 0; round < 5 * stress_scale(); ++round) {
     ShardedEngine eng(stress_config(4));
     eng.access_many(blocks);
-    // No drain, no flush: destructor must hand over staged residue.
+    // No flush: the destructor must let the workers drain.
   }
   SUCCEED();
-}
-
-TEST(ShardedStress, BulkHotKeyStrategiesUnderLoad) {
-  // Both mitigation strategies racing a skewed stream through small
-  // rings; completeness is the assertion, TSan the real check.
-  const auto t = cad_trace(50'000 * stress_scale());
-  std::vector<trace::BlockId> blocks;
-  blocks.reserve(t.size());
-  for (const auto& rec : t) {
-    // Skew: fold a third of the stream onto 4 hot blocks.
-    blocks.push_back(rec.block % 3 == 0 ? rec.block % 4 : rec.block);
-  }
-  for (const HotKeyStrategy strategy :
-       {HotKeyStrategy::kBatchRuns, HotKeyStrategy::kRebalance}) {
-    ShardedConfig c = stress_config(4);
-    c.hot_keys = strategy;
-    c.hot_key_min_count = 128;
-    ShardedEngine eng(c);
-    eng.access_many(blocks);
-    const auto merged = eng.merged_metrics();
-    ASSERT_EQ(merged.accesses, blocks.size());
-  }
 }
 
 TEST(ShardedStress, RunRoutingUnderLoad) {
@@ -189,7 +164,6 @@ TEST(ShardedStress, RunRoutingUnderLoad) {
     blocks.push_back(rec.block);
   }
   ShardedConfig c = stress_config(4);
-  c.routing = Routing::kRuns;
   c.run_length = 193;
   ShardedEngine eng(c);
   std::size_t i = 0;
@@ -200,7 +174,7 @@ TEST(ShardedStress, RunRoutingUnderLoad) {
     eng.access_many({blocks.data() + i, n});
     i += n;
     if (++round % 23 == 0) {
-      eng.drain();
+      eng.flush();
     }
   }
   const auto merged = eng.merged_metrics();

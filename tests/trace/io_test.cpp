@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
@@ -76,6 +78,22 @@ TEST(TraceIo, BinaryRejectsTruncatedBody) {
   bytes.resize(bytes.size() - 5);
   std::stringstream cut(bytes);
   EXPECT_THROW(read_binary(cut, "t"), TraceFormatError);
+}
+
+// A 14-byte file whose header claims far more records than it holds must
+// fail typed, not size an allocation from the claim (std::bad_alloc at
+// 2^40 records, std::length_error at 2^64 - 1).
+TEST(TraceIo, BinaryRejectsHostileRecordCounts) {
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::string header("PFPT\x01\x00", 6);
+    for (int i = 0; i < 8; ++i) {
+      header.push_back(static_cast<char>((count >> (8 * i)) & 0xff));
+    }
+    ASSERT_EQ(header.size(), 14u);
+    std::stringstream buf(header);
+    EXPECT_THROW(read_binary(buf, "t"), TraceFormatError) << count;
+  }
 }
 
 TEST(TraceIo, FileRoundTripBothFormats) {
