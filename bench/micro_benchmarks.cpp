@@ -125,25 +125,6 @@ void BM_EnumerateCandidatesReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateCandidatesReuse);
 
-void BM_EnumerateCandidatesCached(benchmark::State& state) {
-  // Enumerates repeatedly from a fixed position of an unchanging tree:
-  // after the first call every enumeration is a verbatim cache hit, i.e.
-  // the epoch-check + return-span fast path of the incremental engine.
-  const auto& t = cad_trace();
-  core::tree::PrefetchTree tree;
-  for (const auto& r : t) {
-    tree.access(r.block);
-  }
-  core::tree::EnumeratorLimits limits;
-  core::tree::CandidateEnumerator enumerator;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        enumerator.enumerate(tree, tree.root(), limits));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EnumerateCandidatesCached);
-
 void BM_MarkovPredict(benchmark::State& state) {
   // The markov policy's per-access predictor work on a model warmed on
   // the whole trace: one observe() to advance the parse position (so

@@ -75,7 +75,6 @@ SOURCE_SUFFIXES = {".hpp", ".cpp"}
 # The audited concurrency surface: the only files that may declare an
 # std::atomic or perform an atomic operation.  Keep sorted.
 ATOMIC_FILES = {
-    "src/core/tree/prefetch_tree.cpp",   # uid counter for tree instances
     "src/engine/sharded_engine.cpp",     # stop flag, processed counters,
                                          # wait/notify bells
     "src/engine/sharded_engine.hpp",

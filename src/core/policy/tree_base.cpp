@@ -18,9 +18,9 @@ void TreeInstrumentedPrefetcher::save_predictor_state(
 }
 
 bool TreeInstrumentedPrefetcher::load_predictor_state(util::ByteReader& in) {
-  // Move-assignment keeps the incoming tree's uid, so epoch-keyed
-  // enumerator caches can never confuse the restored structure with the
-  // one it replaces (see PrefetchTree's uid semantics).
+  // The restored tree replaces the live one wholesale; its parse starts
+  // at the root.  Candidate enumeration keeps no state derived from a
+  // tree (only scratch buffers), so nothing needs invalidating here.
   tree_ = tree::PrefetchTree::deserialize(in, tree_.config());
   return true;
 }

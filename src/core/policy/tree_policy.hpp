@@ -40,16 +40,6 @@ class TreeCostBenefit : public TreeInstrumentedPrefetcher {
 
   [[nodiscard]] const TreePolicyConfig& config() const noexcept { return config_; }
 
-  /// Cache-path counters of the policy's candidate enumerator.
-  [[nodiscard]] const tree::CandidateEnumerator::CacheStats&
-  enumeration_cache_stats() const noexcept {
-    return enumerator_.cache_stats();
-  }
-
-  /// SIM_AUDIT >= 1: every reusable cached candidate list must reproduce
-  /// a fresh enumeration bit-for-bit (no-op otherwise).
-  void audit_enumeration_cache() const { enumerator_.audit(tree_); }
-
  protected:
   /// Minimum path probability a candidate must carry to be considered
   /// this period.  The base policy imposes none beyond the enumerator's

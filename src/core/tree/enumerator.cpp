@@ -1,9 +1,7 @@
 #include "core/tree/enumerator.hpp"
 
 #include <algorithm>
-#include <array>
 
-#include "util/assert.hpp"
 #include "util/prefetch.hpp"
 
 namespace pfp::core::tree {
@@ -46,15 +44,15 @@ bool CandidateEnumerator::seen_insert(BlockId block) {
   }
 }
 
-void CandidateEnumerator::full_walk(const PrefetchTree& tree, NodeId from,
-                                    const EnumeratorLimits& limits,
-                                    std::vector<Candidate>& out, bool& capped,
-                                    bool& deduped) {
-  out.clear();
+std::span<const Candidate> CandidateEnumerator::enumerate(
+    const PrefetchTree& tree, NodeId from, const EnumeratorLimits& limits) {
+  out_.clear();
+  if (tree.weight(from) == 0) {
+    return {};  // empty tree: no statistics yet
+  }
   frontier_.clear();
   seen_reset(limits.max_candidates);
-  out.reserve(limits.max_candidates);
-  bool saw_duplicate = false;
+  out_.reserve(limits.max_candidates);
 
   const HotNode* nodes = tree.pool().hot_data();
   const NodeId* arena = tree.pool().child_arena();
@@ -110,7 +108,7 @@ void CandidateEnumerator::full_walk(const PrefetchTree& tree, NodeId from,
 
   push_children(from, 1.0, 0);
 
-  while (!frontier_.empty() && out.size() < max_candidates) {
+  while (!frontier_.empty() && out_.size() < max_candidates) {
     std::pop_heap(frontier_.begin(), frontier_.end());
     const FrontierItem item = frontier_.back();
     frontier_.pop_back();
@@ -123,284 +121,24 @@ void CandidateEnumerator::full_walk(const PrefetchTree& tree, NodeId from,
     // A block can be a descendant along several paths; heap order makes
     // the first occurrence the most probable one.
     if (seen_insert(node.block)) {
-      out.push_back(Candidate{node.block, item.probability,
-                              item.parent_probability, item.depth, item.node});
-    } else {
-      saw_duplicate = true;
+      out_.push_back(Candidate{node.block, item.probability,
+                               item.parent_probability, item.depth,
+                               item.node});
     }
     push_children(item.node, item.probability, item.depth);
   }
-  // Items left on the frontier were never examined: the emitted top-k is
-  // only known stable for the weights it was computed under.
-  capped = !frontier_.empty();
-  deduped = saw_duplicate;
-}
-
-bool CandidateEnumerator::rescale(const PrefetchTree& tree, NodeId from,
-                                  const EnumeratorLimits& limits,
-                                  std::vector<Candidate>& items) {
-  // Only `from`'s own weight grew (its children_epoch is untouched), so
-  // every cached path keeps its nodes and integer weights below the first
-  // edge.  Recompute each product from the live weights in the exact
-  // multiply order of a fresh walk.  Reuse is only claimed when the
-  // result is provably what a fresh walk would emit: membership may not
-  // shrink (min_probability crossing) and the pairwise order/tie
-  // structure of the sorted list may not change — weights only grow, so
-  // membership can never expand.
-  const HotNode* nodes = tree.pool().hot_data();
-  constexpr std::uint32_t kMaxChain = 64;
-  std::array<NodeId, kMaxChain> chain;
-  double prev_old = 0.0;
-  double prev_new = 0.0;
-  bool have_prev = false;
-  for (Candidate& c : items) {
-    if (c.depth > kMaxChain) {
-      return false;  // degenerate limits: just re-walk
-    }
-    // Tree paths are unique: the ancestor chain from the candidate's
-    // node is the enumeration path, no per-candidate storage needed.
-    NodeId id = c.node;
-    for (std::uint32_t i = c.depth; i > 0; --i) {
-      chain[i - 1] = id;
-      id = nodes[id].parent;
-    }
-    PFP_DASSERT(id == from);
-    const double old_probability = c.probability;
-    double p = 1.0;
-    double parent_p = 1.0;
-    std::uint64_t denominator = nodes[from].weight;
-    for (std::uint32_t i = 0; i < c.depth; ++i) {
-      const std::uint64_t w = nodes[chain[i]].weight;
-      parent_p = p;
-      p = p * (static_cast<double>(w) / static_cast<double>(denominator));
-      if (p < limits.min_probability) {
-        return false;  // membership shrank: best-first truncation moved
-      }
-      denominator = w;
-    }
-    if (have_prev) {
-      // The recomputed first-edge denominators can round differently per
-      // path; a strict ordering that collapses to a tie (or the reverse)
-      // would change heap pop order in a fresh walk.
-      const bool tie_old = prev_old == old_probability;
-      const bool tie_new = prev_new == p;
-      const bool descending_old = prev_old > old_probability;
-      const bool descending_new = prev_new > p;
-      if (tie_old != tie_new || descending_old != descending_new) {
-        return false;
-      }
-    }
-    c.probability = p;
-    c.parent_probability = parent_p;
-    prev_old = old_probability;
-    prev_new = p;
-    have_prev = true;
-  }
-  return true;
-}
-
-bool CandidateEnumerator::parse_strictly_below(const PrefetchTree& tree,
-                                               NodeId from) {
-  NodeId id = tree.current();
-  if (id == from) {
-    return false;  // the simulator's case: enumerating from the parse node
-  }
-  const HotNode* nodes = tree.pool().hot_data();
-  while (id != kNoNode) {
-    id = nodes[id].parent;
-    if (id == from) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool CandidateEnumerator::same_items(std::span<const Candidate> a,
-                                     std::span<const Candidate> b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const Candidate& x = a[i];
-    const Candidate& y = b[i];
-    if (x.block != y.block || x.probability != y.probability ||
-        x.parent_probability != y.parent_probability || x.depth != y.depth ||
-        x.node != y.node) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::span<const Candidate> CandidateEnumerator::enumerate(
-    const PrefetchTree& tree, NodeId from, const EnumeratorLimits& limits) {
-  const std::uint64_t origin_weight = tree.weight(from);
-  if (origin_weight == 0) {
-    return {};  // empty tree: no statistics yet (the cache is untouched)
-  }
-  const std::uint64_t origin_epoch = tree.children_epoch(from);
-  if (slots_.empty()) {
-    slots_.resize(kCacheSlots);  // lazily built: one-shot users skip it
-  }
-  Slot& slot = slots_[static_cast<std::size_t>(from) & (kCacheSlots - 1)];
-  const std::uint64_t serial = tree.access_serial();
-  if (slot.from == from && slot.tree_uid == tree.uid() &&
-      slot.limits == limits) {
-    // Frozen: not a single access since the fill, so the tree is bitwise
-    // unchanged.  Stable: the parse-order argument (file header of
-    // enumerator.hpp) proves the whole subtree below `from` unchanged.
-    const bool frozen = slot.fill_serial == serial;
-    const bool stable =
-        !slot.parse_below &&
-        slot.eviction_epoch == tree.pool().eviction_epoch() &&
-        slot.children_epoch == origin_epoch;
-    if (frozen || stable) {
-      if (slot.items_valid) {
-        if (slot.from_weight == origin_weight) {
-          ++stats_.verbatim_hits;
-          check_cached_result(tree, from, limits, slot);
-          return {slot.items.data(), slot.items.size()};
-        }
-        if (origin_weight > slot.from_weight && !slot.capped &&
-            !slot.deduped && rescale(tree, from, limits, slot.items)) {
-          slot.from_weight = origin_weight;
-          slot.fill_serial = serial;
-          slot.parse_below = parse_strictly_below(tree, from);
-          ++stats_.rescale_hits;
-          check_cached_result(tree, from, limits, slot);
-          return {slot.items.data(), slot.items.size()};
-        }
-      }
-      // The key repeated while still reusable: this node is worth
-      // materializing, so promote the header-only entry with a walk into
-      // the slot's retained buffer.  (A failed rescale lands here too;
-      // the walk overwrites its partial in-place updates.)
-      ++stats_.full_walks;
-      full_walk(tree, from, limits, slot.items, slot.capped, slot.deduped);
-      slot.children_epoch = origin_epoch;
-      slot.from_weight = origin_weight;
-      slot.eviction_epoch = tree.pool().eviction_epoch();
-      slot.fill_serial = serial;
-      slot.parse_below = parse_strictly_below(tree, from);
-      slot.items_valid = true;
-      return {slot.items.data(), slot.items.size()};
-    }
-  }
-  // Miss: record the key header so a repeat lookup can promote, but walk
-  // into the shared hot buffer — a never-repeating key (the simulator's
-  // parse dirties exactly what it enumerates) costs no scattered
-  // per-slot writes.
-  slot.from = from;
-  slot.tree_uid = tree.uid();
-  slot.limits = limits;
-  slot.children_epoch = origin_epoch;
-  slot.from_weight = origin_weight;
-  slot.eviction_epoch = tree.pool().eviction_epoch();
-  slot.fill_serial = serial;
-  slot.parse_below = parse_strictly_below(tree, from);
-  slot.items_valid = false;
-  ++stats_.full_walks;
-  bool capped = false;
-  bool deduped = false;
-  full_walk(tree, from, limits, out_, capped, deduped);
   return {out_.data(), out_.size()};
-}
-
-std::span<const Candidate> CandidateEnumerator::enumerate_fresh(
-    const PrefetchTree& tree, NodeId from, const EnumeratorLimits& limits) {
-  if (tree.weight(from) == 0) {
-    return {};
-  }
-  bool capped = false;
-  bool deduped = false;
-  full_walk(tree, from, limits, out_, capped, deduped);
-  return {out_.data(), out_.size()};
-}
-
-void CandidateEnumerator::enumerate_fresh_into(const PrefetchTree& tree,
-                                               NodeId from,
-                                               const EnumeratorLimits& limits,
-                                               std::vector<Candidate>& out) {
-  out.clear();
-  if (tree.weight(from) == 0) {
-    return;
-  }
-  bool capped = false;
-  bool deduped = false;
-  full_walk(tree, from, limits, out, capped, deduped);
-}
-
-void CandidateEnumerator::clear_cache() {
-  for (Slot& slot : slots_) {
-    slot.from = kNoNode;
-    slot.tree_uid = 0;
-    slot.items_valid = false;
-    slot.items.clear();  // keeps capacity: steady state stays alloc-free
-  }
-}
-
-void CandidateEnumerator::audit([[maybe_unused]] const PrefetchTree& tree)
-    const {
-#if PFP_AUDIT_ENABLED
-  // Reference results come from a scratch enumerator's cache-free path.
-  // Allocation is fine here — audits are diagnostics, not the hot path.
-  CandidateEnumerator fresh;
-  for (const Slot& slot : slots_) {
-    if (slot.from == kNoNode || slot.tree_uid != tree.uid() ||
-        !slot.items_valid) {
-      continue;  // empty, keyed to another tree, or header-only
-    }
-    PFP_AUDIT("CandidateEnumerator", slot.from < tree.pool().id_bound(),
-              "cached node id beyond the pool's id bound");
-    if (slot.from >= tree.pool().id_bound()) {
-      continue;
-    }
-    const NodeView origin = tree.node(slot.from);
-    // Mirror enumerate()'s hit conditions: only slots a lookup would
-    // actually reuse are held to the bit-identity contract.
-    const bool frozen = slot.fill_serial == tree.access_serial();
-    const bool stable =
-        !slot.parse_below &&
-        slot.eviction_epoch == tree.pool().eviction_epoch() &&
-        slot.children_epoch == origin.children_epoch;
-    if (!frozen && !stable) {
-      continue;  // stale: a lookup would fall through to a full walk
-    }
-    PFP_AUDIT("CandidateEnumerator", origin.weight >= slot.from_weight,
-              "cached from-weight exceeds the live weight (weights only "
-              "grow; recycled slot leaking through the validity stamps?)");
-    if (origin.weight == slot.from_weight) {
-      const auto reference =
-          fresh.enumerate_fresh(tree, slot.from, slot.limits);
-      PFP_AUDIT("CandidateEnumerator",
-                same_items({slot.items.data(), slot.items.size()}, reference),
-                "verbatim-reusable slot diverges from a fresh enumeration");
-    } else if (origin.weight > slot.from_weight && !slot.capped &&
-               !slot.deduped) {
-      std::vector<Candidate> rescaled = slot.items;
-      if (rescale(tree, slot.from, slot.limits, rescaled)) {
-        const auto reference =
-            fresh.enumerate_fresh(tree, slot.from, slot.limits);
-        PFP_AUDIT("CandidateEnumerator",
-                  same_items({rescaled.data(), rescaled.size()}, reference),
-                  "rescaled slot diverges from a fresh enumeration");
-      }
-    }
-  }
-#endif
 }
 
 std::vector<Candidate> enumerate_candidates(const PrefetchTree& tree,
                                             NodeId from,
                                             const EnumeratorLimits& limits) {
-  // enumerate_fresh() never reads or writes the slot cache, so reusing
-  // one scratch enumerator per thread is behaviour-identical to a fresh
-  // instance while keeping the walk's frontier/dedup/output buffers warm
-  // across one-shot calls.
+  // One scratch enumerator per thread keeps the walk's frontier, dedup
+  // and output buffers warm across one-shot calls.
   thread_local CandidateEnumerator scratch;
-  std::vector<Candidate> result;
-  scratch.enumerate_fresh_into(tree, from, limits, result);
-  return result;
+  const std::span<const Candidate> candidates =
+      scratch.enumerate(tree, from, limits);
+  return {candidates.begin(), candidates.end()};
 }
 
 }  // namespace pfp::core::tree

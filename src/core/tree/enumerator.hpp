@@ -12,40 +12,14 @@
 // probability-ordered frontier yields the globally most probable
 // descendants first and the cut-offs are exact, not heuristic.
 //
-// Enumeration runs once per simulated access, so CandidateEnumerator owns
-// its frontier heap, output buffers and dedup scratch and reuses them
-// across calls — the hot path allocates nothing after the first few
-// periods.  enumerate_candidates() remains as a convenience wrapper for
-// one-shot callers (tests, examples).
-//
-// Incremental reuse.  The enumerator keeps a direct-mapped cache of
-// per-node candidate lists keyed on (tree uid, node, limits) plus the
-// validity stamps below.  A cached list for node X is served when either
-//   - the tree's access serial is unchanged since the fill (nothing at
-//     all happened — the read-only caller's case), or
-//   - X's subtree is provably unchanged, which the LZ parse order lets
-//     us establish in O(1): every mutation strictly below X (descendant
-//     weight increment or node creation) happens with the parse at or
-//     below X, and the parse can only get below X by crossing X — which
-//     stamps X's children_epoch.  So if the parse was not strictly below
-//     X at fill time, X's children_epoch is unchanged, and no leaf-LRU
-//     eviction happened anywhere (global eviction stamp), the subtree is
-//     bitwise identical.  Then:
-//       (a) same own weight            → the list is returned verbatim;
-//       (b) grown own weight           → every path product is recomputed
-//           from the live integer weights in the exact multiply order of
-//           a fresh walk (bit-identical; only the first edge's
-//           denominator changed), provided membership, ordering and
-//           dedup provably survive — otherwise
-//       (c) full best-first re-walk.
-// Cache misses fill only the slot's small key header and walk into one
-// hot reused buffer; a slot materializes its candidate list lazily, on
-// the first lookup that proves the node repeats with a stable subtree.
-// That keeps the simulator path (which virtually never repeats a key —
-// the parse dirties what it enumerates) free of scattered slot writes.
-// Free-list slot reuse is safe because NodePool stamps recreated nodes
-// from a strictly monotone counter and destruction advances the global
-// eviction stamp, so a recycled NodeId can never match a stale entry.
+// Enumeration runs once per access period from the parse position, so
+// CandidateEnumerator owns its frontier heap, output buffer and dedup
+// scratch and reuses them across calls — the hot path allocates nothing
+// after the first few periods.  Every call walks afresh: each access
+// moves the parse and reweights the node it enumerated from, so a list
+// kept from one period never describes the next (docs/perf.md,
+// "Why enumeration keeps no cache").  enumerate_candidates() is the
+// one-shot wrapper for tests, examples and introspection.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +27,6 @@
 #include <vector>
 
 #include "core/tree/prefetch_tree.hpp"
-#include "util/audit.hpp"
 
 namespace pfp::core::tree {
 
@@ -69,60 +42,21 @@ struct EnumeratorLimits {
   std::uint32_t max_depth = 8;      ///< deepest descendant considered
   double min_probability = 0.002;   ///< prune paths below this p_b
   std::size_t max_candidates = 48;  ///< cap on emitted candidates
-  /// Cached candidate lists are keyed on the limits they were built with.
-  bool operator==(const EnumeratorLimits&) const = default;
 };
 
 /// Reusable best-first enumerator.  One instance per policy; not
 /// thread-safe (each simulation owns its policies, so no sharing occurs).
 class CandidateEnumerator {
  public:
-  /// How often each cache path served an enumerate() call.
-  struct CacheStats {
-    std::uint64_t verbatim_hits = 0;  ///< case (a): unchanged subtree
-    std::uint64_t rescale_hits = 0;   ///< case (b): own weight grew
-    std::uint64_t full_walks = 0;     ///< case (c): re-enumerated
-  };
-
   /// Descendants of `from`, most probable first.  Duplicate blocks (same
   /// block reachable along several paths) keep only their most probable
   /// occurrence.  The root's weight-0 state (empty tree) yields nothing.
   /// The returned span aliases internal storage and is invalidated by the
-  /// next enumerate()/enumerate_fresh() call.
+  /// next enumerate() call.
   std::span<const Candidate> enumerate(const PrefetchTree& tree, NodeId from,
                                        const EnumeratorLimits& limits);
 
-  /// Identical results to enumerate() but never consults or fills the
-  /// cache — one full walk into the reused hot buffer.  This is the
-  /// reference path for one-shot callers, tests and audits.
-  std::span<const Candidate> enumerate_fresh(const PrefetchTree& tree,
-                                             NodeId from,
-                                             const EnumeratorLimits& limits);
-
-  /// enumerate_fresh() walking straight into a caller-owned vector —
-  /// spares owning callers the copy out of the internal buffer.
-  void enumerate_fresh_into(const PrefetchTree& tree, NodeId from,
-                            const EnumeratorLimits& limits,
-                            std::vector<Candidate>& out);
-
-  [[nodiscard]] const CacheStats& cache_stats() const noexcept {
-    return stats_;
-  }
-
-  /// Drops every cached list (stats are kept).  Never needed for
-  /// correctness — the validity stamps invalidate structurally — but lets
-  /// long-lived callers release a retired tree's entries.
-  void clear_cache();
-
-  /// SIM_AUDIT >= 1 sweep: every cache slot a lookup against `tree`
-  /// would reuse (verbatim or rescaled) must reproduce a fresh
-  /// enumeration bit-for-bit.  At SIM_AUDIT >= 2 enumerate() itself
-  /// additionally re-walks on every cache hit and compares inline.
-  void audit(const PrefetchTree& tree) const;
-
  private:
-  friend struct EnumeratorTestAccess;  // corruption hooks for audit tests
-
   struct FrontierItem {
     double probability;
     double parent_probability;
@@ -133,33 +67,6 @@ class CandidateEnumerator {
     }
   };
 
-  /// One direct-mapped cache entry.  The key header (everything but
-  /// `items`) is written on every miss; `items` is materialized only when
-  /// a later lookup finds the header still valid (the node repeats), and
-  /// keeps its heap buffer across refills.
-  struct Slot {
-    NodeId from = kNoNode;
-    std::uint64_t tree_uid = 0;
-    std::uint64_t children_epoch = 0;
-    std::uint64_t from_weight = 0;
-    std::uint64_t eviction_epoch = 0;
-    std::uint64_t fill_serial = 0;  ///< tree access serial at fill time
-    EnumeratorLimits limits;
-    /// Parse was strictly below `from` at fill time: the subtree can then
-    /// mutate without stamping `from`, so only the frozen-serial rule may
-    /// serve this entry.
-    bool parse_below = false;
-    /// Hit the max_candidates cap: candidates past the cap were never
-    /// examined, so a rescale cannot prove the top-k set stable.
-    bool capped = false;
-    /// A duplicate block was discarded during the walk: dedup-winner
-    /// selection depends on cross-path probability order a rescale
-    /// cannot re-verify in O(k).
-    bool deduped = false;
-    bool items_valid = false;  ///< `items` materialized and current
-    std::vector<Candidate> items;
-  };
-
   /// Generation-stamped open-addressing dedup slot; a stale generation
   /// marks the slot empty, so clearing between walks is O(1).
   struct SeenSlot {
@@ -167,68 +74,17 @@ class CandidateEnumerator {
     BlockId block = 0;
   };
 
-  static constexpr std::size_t kCacheSlots = 256;  // power of two
-  static_assert((kCacheSlots & (kCacheSlots - 1)) == 0);
-
-  /// Best-first walk into `out` (bit-identical to the historical
-  /// implementation; the heap/dedup/pruning sequence is pinned by
-  /// tests/integration/metrics_pin_test.cpp).  Reports via the out-params
-  /// whether the walk was truncated or deduplicated.
-  void full_walk(const PrefetchTree& tree, NodeId from,
-                 const EnumeratorLimits& limits, std::vector<Candidate>& out,
-                 bool& capped, bool& deduped);
-
-  /// Case (b): recompute every cached path product from live integer
-  /// weights.  Returns false — leaving `items` partially rescaled, the
-  /// caller must re-walk — when bit-identity cannot be proven: a product
-  /// crossed min_probability, or the relative order / tie structure of
-  /// adjacent items changed.
-  static bool rescale(const PrefetchTree& tree, NodeId from,
-                      const EnumeratorLimits& limits,
-                      std::vector<Candidate>& items);
-
-  /// Is the parse position a strict descendant of `from`?  O(1) when the
-  /// parse sits at `from` (the simulator's case), O(parse depth) else.
-  static bool parse_strictly_below(const PrefetchTree& tree, NodeId from);
-
   void seen_reset(std::size_t max_candidates);
   bool seen_insert(BlockId block);  ///< false if already present
-
-  /// Exact elementwise equality, doubles included (the cache is an
-  /// optimization, not a behaviour change).
-  static bool same_items(std::span<const Candidate> a,
-                         std::span<const Candidate> b);
-
-  /// SIM_AUDIT >= 2 inline sweep: a served cache hit is re-derived by a
-  /// fresh walk and compared bit-for-bit.  Compiles to nothing otherwise.
-  void check_cached_result([[maybe_unused]] const PrefetchTree& tree,
-                           [[maybe_unused]] NodeId from,
-                           [[maybe_unused]] const EnumeratorLimits& limits,
-                           [[maybe_unused]] const Slot& slot) {
-#if SIM_AUDIT >= 2
-    bool capped = false;
-    bool deduped = false;
-    full_walk(tree, from, limits, check_scratch_, capped, deduped);
-    PFP_AUDIT("CandidateEnumerator",
-              same_items({slot.items.data(), slot.items.size()},
-                         {check_scratch_.data(), check_scratch_.size()}),
-              "served cache hit diverges from a fresh enumeration");
-#endif
-  }
 
   std::vector<FrontierItem> frontier_;  ///< binary max-heap (std::push_heap)
   std::vector<SeenSlot> seen_;          ///< power-of-two dedup table
   std::uint32_t seen_generation_ = 0;
-  std::vector<Candidate> out_;  ///< hot output buffer for non-cached walks
-  std::vector<Slot> slots_;     ///< sized kCacheSlots on first enumerate()
-  CacheStats stats_;
-#if SIM_AUDIT >= 2
-  std::vector<Candidate> check_scratch_;  ///< inline cached-vs-fresh sweep
-#endif
+  std::vector<Candidate> out_;  ///< reused output buffer
 };
 
-/// One-shot wrapper around CandidateEnumerator with identical results and
-/// no cache involvement; prefer a reused enumerator on hot paths.
+/// One-shot wrapper around CandidateEnumerator with identical results;
+/// prefer a reused enumerator on hot paths.
 std::vector<Candidate> enumerate_candidates(const PrefetchTree& tree,
                                             NodeId from,
                                             const EnumeratorLimits& limits);

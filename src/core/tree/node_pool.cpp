@@ -110,13 +110,6 @@ NodeId NodePool::create(NodeId parent, BlockId block) {
     ++p.child_count;
   }
   ++live_;
-  // The parent's child run grew; the new node itself gets a stamp
-  // strictly above anything ever cached, which is what makes free-list
-  // slot reuse safe for epoch-keyed caches.
-  if (parent != kNoNode) {
-    cold_[parent].children_epoch = ++epoch_;
-  }
-  cold_[id].children_epoch = ++epoch_;
   return id;
 }
 
@@ -126,10 +119,6 @@ void NodePool::increment_weight(NodeId id) {
   if (node.parent == kNoNode) {
     return;
   }
-  // O(1) stamp: only the immediate parent's downward view changed here.
-  // The node's own stamp stays — its descendants did not move, only its
-  // own weight did (that is exactly the enumerator's rescale case).
-  cold_[node.parent].children_epoch = ++epoch_;
   NodeId* siblings = arena_.data() + hot_[node.parent].child_begin;
   const std::uint32_t pos = cold_[id].pos_in_parent;
   PFP_DASSERT(siblings[pos] == id);
@@ -186,18 +175,12 @@ void NodePool::destroy(NodeId id) {
     }
     edges_.erase(EdgeKey{parent, hot_[id].block});
   }
-  // Reset both planes; children_epoch 0 means a freed slot never matches.
+  // Reset both planes so the slot is reused from a clean record.
   free_run(hot_[id].child_begin, hot_[id].child_capacity);
   hot_[id] = HotNode{};
   cold_[id] = ColdNode{};
   free_.push_back(id);
   --live_;
-  if (parent != kNoNode) {
-    cold_[parent].children_epoch = ++epoch_;
-  }
-  // The victim may sit far from the parse path, outside the parse-order
-  // argument; the global eviction stamp invalidates every cached list.
-  ++eviction_epoch_;
 }
 
 std::size_t NodePool::actual_memory_bytes() const noexcept {
@@ -219,8 +202,9 @@ void NodePool::audit() const {
             "hot and cold planes disagree on node count");
   PFP_AUDIT("NodePool", live_ + free_.size() == hot_.size(),
             "live count + free list does not cover the slabs");
-  // Freed slots must be fully reset (a recycled NodeId with a stale
-  // epoch would leak through the candidate cache's validity stamps).
+  // Freed slots must be fully reset: a dead id that still held a child
+  // run, a parent link or a Section 9.6 pointer would look like a live
+  // node to anything reading it through a stale reference.
   std::vector<bool> is_free(hot_.size(), false);
   for (const NodeId id : free_) {
     PFP_AUDIT("NodePool", id < hot_.size(), "free-list id beyond id bound");
@@ -232,8 +216,9 @@ void NodePool::audit() const {
     PFP_AUDIT("NodePool",
               hot_[id].weight == 0 && hot_[id].parent == kNoNode &&
                   hot_[id].child_count == 0 && hot_[id].child_capacity == 0 &&
-                  cold_[id].children_epoch == 0,
-              "freed slot not reset (stale epoch or dangling child run)");
+                  cold_[id].last_visited_child == kNoNode &&
+                  cold_[id].pos_in_parent == 0,
+              "freed slot not reset (stale link or dangling child run)");
   }
   // Paint every claimed arena interval — live child runs and recycled
   // free runs — and verify single ownership of each arena slot.

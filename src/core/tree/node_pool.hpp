@@ -10,10 +10,9 @@
 //   - the HOT plane (`HotNode`: block, weight, parent, child-run head) is
 //     everything a parse step or a best-first enumeration touches — 32
 //     bytes, two nodes per cache line;
-//   - the COLD plane (`ColdNode`: children_epoch, last_visited_child,
-//     pos_in_parent) holds the Section 9.6 machinery and the incremental-
-//     cache stamps, read far less often and never inside the enumeration
-//     inner loop.
+//   - the COLD plane (`ColdNode`: last_visited_child, pos_in_parent)
+//     holds the Section 9.6 machinery and the child-run back index, read
+//     far less often and never inside the enumeration inner loop.
 //
 // Child lists are not per-node containers: every node's children occupy
 // one contiguous run inside a shared child-index arena (power-of-two run
@@ -60,29 +59,22 @@ struct HotNode {
 };
 static_assert(sizeof(HotNode) == 32, "hot plane packs two nodes per line");
 
-/// Cold plane: bookkeeping no enumeration inner loop ever touches.
+/// Cold plane: bookkeeping no enumeration inner loop ever touches — the
+/// parse's last-visited-child shortcut (Section 9.6) and the node's slot
+/// in its parent's child run, which lets a weight increment or a leaf
+/// destroy fix the run in place.  8 bytes.
 struct ColdNode {
-  /// Version stamp of this node's *downward* state: advances when a
-  /// direct child's weight changes or the child list gains or loses an
-  /// entry — but NOT when only this node's own weight grows.  Maintained
-  /// in O(1) per parse step (only the mutated node's parent is stamped);
-  /// CandidateEnumerator proves whole-subtree stability from it by
-  /// exploiting the LZ parse order: the parse cannot mutate anything
-  /// below this node without first crossing it — which stamps it (see
-  /// enumerator.hpp for the cache-validity argument).
-  std::uint64_t children_epoch = 0;
   NodeId last_visited_child = kNoNode;  ///< Section 9.6 machinery
   std::uint32_t pos_in_parent = 0;      ///< index in parent's child run
 };
-static_assert(sizeof(ColdNode) == 16);
+static_assert(sizeof(ColdNode) == 8);
 
-/// Read-only by-value view of one node across both planes, for
+/// Read-only by-value view of one node's identity and weight, for
 /// introspection sites (tests, examples, policies off the inner loop).
 struct NodeView {
   BlockId block = 0;
   std::uint64_t weight = 0;
   NodeId parent = kNoNode;
-  std::uint64_t children_epoch = 0;
 };
 
 class NodePool {
@@ -131,9 +123,6 @@ class NodePool {
   [[nodiscard]] std::uint32_t child_count(NodeId id) const {
     return hot_[id].child_count;
   }
-  [[nodiscard]] std::uint64_t children_epoch(NodeId id) const {
-    return cold_[id].children_epoch;
-  }
   [[nodiscard]] NodeId last_visited_child(NodeId id) const {
     return cold_[id].last_visited_child;
   }
@@ -145,13 +134,13 @@ class NodePool {
   }
   [[nodiscard]] NodeView view(NodeId id) const {
     const HotNode& n = hot_[id];
-    return NodeView{n.block, n.weight, n.parent, cold_[id].children_epoch};
+    return NodeView{n.block, n.weight, n.parent};
   }
 
   /// Low-level mutable plane access.  Escape hatch for deserialization
   /// (weight restore) and the audit tests' seeded corruptions; regular
-  /// callers go through the mutation API above, which keeps the order,
-  /// edge-map and epoch invariants.
+  /// callers go through the mutation API above, which keeps the order
+  /// and edge-map invariants.
   [[nodiscard]] HotNode& hot(NodeId id) { return hot_[id]; }
   [[nodiscard]] const HotNode& hot(NodeId id) const { return hot_[id]; }
   [[nodiscard]] ColdNode& cold(NodeId id) { return cold_[id]; }
@@ -160,18 +149,6 @@ class NodePool {
   [[nodiscard]] std::size_t live_nodes() const noexcept { return live_; }
   /// Upper bound on node ids ever allocated (for sizing side tables).
   [[nodiscard]] std::size_t id_bound() const noexcept { return hot_.size(); }
-
-  /// Strictly monotone counter behind every children_epoch stamp.  Freed
-  /// slots are re-stamped from it on reuse, so a cached epoch can never
-  /// collide with a recycled NodeId.
-  [[nodiscard]] std::uint64_t current_epoch() const noexcept { return epoch_; }
-
-  /// Count of destroy() calls.  Evictions are the one subtree mutation
-  /// the parse-order argument cannot cover (the leaf-LRU victim may sit
-  /// anywhere), so cached candidate lists are additionally keyed on this.
-  [[nodiscard]] std::uint64_t eviction_epoch() const noexcept {
-    return eviction_epoch_;
-  }
 
   /// Raw plane/arena access for tight read-only walks (valid ids <
   /// id_bound()).  Pointers are invalidated by create()/destroy().
@@ -249,8 +226,6 @@ class NodePool {
   std::vector<NodeId> free_;
   util::FlatMap<EdgeKey, NodeId, EdgeHash> edges_;
   std::size_t live_ = 0;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t eviction_epoch_ = 0;
 };
 
 }  // namespace pfp::core::tree

@@ -1,7 +1,5 @@
 #include "core/tree/prefetch_tree.hpp"
 
-#include <atomic>
-#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -9,66 +7,11 @@
 
 namespace pfp::core::tree {
 
-std::uint64_t PrefetchTree::next_uid() noexcept {
-  // writers: every constructing thread (fetch_add)
-  // readers: none directly — the RMW result is the only read
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-PrefetchTree::PrefetchTree(TreeConfig config)
-    : config_(config), uid_(next_uid()) {
+PrefetchTree::PrefetchTree(TreeConfig config) : config_(config) {
   root_ = pool_.create(kNoNode, /*block=*/0);
   pool_.hot(root_).weight = 0;  // root counts substrings, none seen yet
   current_ = root_;
   leaf_lru_.resize(16);
-}
-
-PrefetchTree::PrefetchTree(const PrefetchTree& other)
-    : config_(other.config_),
-      pool_(other.pool_),
-      root_(other.root_),
-      current_(other.current_),
-      leaf_lru_(other.leaf_lru_),
-      uid_(next_uid()),
-      access_serial_(other.access_serial_) {}
-
-PrefetchTree& PrefetchTree::operator=(const PrefetchTree& other) {
-  if (this != &other) {
-    config_ = other.config_;
-    pool_ = other.pool_;
-    root_ = other.root_;
-    current_ = other.current_;
-    leaf_lru_ = other.leaf_lru_;
-    uid_ = next_uid();
-    access_serial_ = other.access_serial_;
-  }
-  return *this;
-}
-
-PrefetchTree::PrefetchTree(PrefetchTree&& other) noexcept
-    : config_(other.config_),
-      pool_(std::move(other.pool_)),
-      root_(other.root_),
-      current_(other.current_),
-      leaf_lru_(std::move(other.leaf_lru_)),
-      uid_(other.uid_),
-      access_serial_(other.access_serial_) {
-  other.uid_ = next_uid();
-}
-
-PrefetchTree& PrefetchTree::operator=(PrefetchTree&& other) noexcept {
-  if (this != &other) {
-    config_ = other.config_;
-    pool_ = std::move(other.pool_);
-    root_ = other.root_;
-    current_ = other.current_;
-    leaf_lru_ = std::move(other.leaf_lru_);
-    uid_ = other.uid_;
-    access_serial_ = other.access_serial_;
-    other.uid_ = next_uid();
-  }
-  return *this;
 }
 
 void PrefetchTree::touch(NodeId id) {
@@ -100,21 +43,16 @@ void PrefetchTree::evict_one_leaf() {
   const NodeId parent = pool_.parent(victim);
   pool_.destroy(victim);
   // The parent may have just become a leaf; it is now evictable too.  It
-  // enters at the cold end — its subtree, not the node itself, was the
-  // recent activity.
+  // enters at the MRU end (LruList's front), so every leaf already on the
+  // list is evicted before it unless the parse touches them again.
   if (parent != kNoNode && parent != root_ && pool_.child_count(parent) == 0) {
     if (!leaf_lru_.contains(parent)) {
-      // push_front then rotate to back: LruList has no push_back; emulate
-      // by inserting and immediately demoting via touch order — instead we
-      // simply insert at front; the next eviction sweep will reach it once
-      // genuinely cold leaves are consumed.
       leaf_lru_.push_front(parent);
     }
   }
 }
 
 AccessInfo PrefetchTree::access(BlockId block) {
-  ++access_serial_;
   AccessInfo info;
   const NodeId lvc = pool_.last_visited_child(current_);
   info.had_lvc = lvc != kNoNode;
@@ -200,9 +138,6 @@ void PrefetchTree::audit() const {
     const bool is_leaf = pool_.child_count(id) == 0 && id != root_;
     PFP_AUDIT("PrefetchTree", leaf_lru_.contains(id) == is_leaf,
               "leaf-LRU membership disagrees with leaf status");
-    PFP_AUDIT("PrefetchTree",
-              pool_.children_epoch(id) <= pool_.current_epoch(),
-              "node stamped with an epoch the pool has not issued yet");
     const NodeId lvc = pool_.last_visited_child(id);
     std::uint64_t child_weight_sum = 0;
     std::uint64_t prev_weight = ~0ULL;

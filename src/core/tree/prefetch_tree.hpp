@@ -54,17 +54,6 @@ class PrefetchTree {
  public:
   explicit PrefetchTree(TreeConfig config = TreeConfig{});
 
-  // Trees carry a process-unique id that epoch-keyed caches (see
-  // CandidateEnumerator) fold into their keys.  A copy is a new tree
-  // (fresh uid); a move keeps the uid — the moved-to object holds the
-  // exact structure the cache entries describe — and re-uids the
-  // moved-from shell so later reuse of it cannot alias stale entries.
-  PrefetchTree(const PrefetchTree& other);
-  PrefetchTree& operator=(const PrefetchTree& other);
-  PrefetchTree(PrefetchTree&& other) noexcept;
-  PrefetchTree& operator=(PrefetchTree&& other) noexcept;
-  ~PrefetchTree() = default;
-
   /// Feeds one reference through the LZ parse.
   AccessInfo access(BlockId block);
 
@@ -72,15 +61,12 @@ class PrefetchTree {
   [[nodiscard]] NodeId current() const noexcept { return current_; }
   [[nodiscard]] NodeId root() const noexcept { return root_; }
 
-  /// By-value snapshot of one node (reads both planes); introspection
-  /// convenience — hot paths use the single-field accessors below.
+  /// By-value snapshot of one node; introspection convenience — hot
+  /// paths use the single-field accessors below.
   [[nodiscard]] NodeView node(NodeId id) const { return pool_.view(id); }
   [[nodiscard]] BlockId block(NodeId id) const { return pool_.block(id); }
   [[nodiscard]] std::uint64_t weight(NodeId id) const {
     return pool_.weight(id);
-  }
-  [[nodiscard]] std::uint64_t children_epoch(NodeId id) const {
-    return pool_.children_epoch(id);
   }
   /// Children of `id`, weight-descending, as one contiguous slice of the
   /// pool's child arena.  Invalidated by the next access() (node creation
@@ -107,15 +93,6 @@ class PrefetchTree {
   /// Last-visited child of `id`, or kNoNode (Section 9.6).
   [[nodiscard]] NodeId last_visited_child(NodeId id) const {
     return pool_.last_visited_child(id);
-  }
-
-  /// Process-unique identity of this tree instance (cache key component).
-  [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
-
-  /// Count of access() calls.  Between two reads with equal serials the
-  /// tree is bitwise unchanged — the cheapest possible cache-hit proof.
-  [[nodiscard]] std::uint64_t access_serial() const noexcept {
-    return access_serial_;
   }
 
   /// Read-only pool access for tight walks over the node slab.
@@ -158,8 +135,6 @@ class PrefetchTree {
  private:
   friend struct AuditTestAccess;  // corruption hooks for audit tests
 
-  static std::uint64_t next_uid() noexcept;
-
   /// Deserialization helper: attach a child with a known weight and
   /// stored child count (which sizes its child run and decides leaf-LRU
   /// membership).  Children must be restored in descending-weight order
@@ -176,8 +151,6 @@ class PrefetchTree {
   NodeId current_;
   /// LRU over *leaf* nodes only; interior nodes are not evictable.
   util::LruList leaf_lru_;
-  std::uint64_t uid_;
-  std::uint64_t access_serial_ = 0;
 };
 
 }  // namespace pfp::core::tree

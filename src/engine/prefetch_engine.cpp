@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -56,6 +57,14 @@ constexpr std::uint16_t kVersion = 2;
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw std::runtime_error("engine snapshot stream: " + what);
+}
+
+/// Time totals and the probability sum grow from zero by finite steps;
+/// a NaN or infinity restored into one would poison every later figure.
+void require_total(double value, const char* field) {
+  if (!(std::isfinite(value) && value >= 0.0)) {
+    corrupt(std::string(field) + " is not a finite non-negative total");
+  }
 }
 
 }  // namespace
@@ -385,6 +394,10 @@ void PrefetchEngine::restore(std::span<const std::uint8_t> image) {
   p.lvc_cached = in.read_u64();
   p.tree_nodes = in.read_u64();
   p.tree_bytes = in.read_u64();
+  require_total(restored.elapsed_ms, "elapsed_ms");
+  require_total(restored.stall_ms, "stall_ms");
+  require_total(restored.disk_queue_delay_ms, "disk_queue_delay_ms");
+  require_total(p.sum_prefetch_probability, "sum_prefetch_probability");
 
   const std::uint64_t demand_count = in.read_u64();
   if (!in.ok() || demand_count > config_.cache_blocks) {
@@ -419,6 +432,12 @@ void PrefetchEngine::restore(std::span<const std::uint8_t> image) {
     }
     if (!(entry.probability >= 0.0 && entry.probability <= 1.0)) {
       corrupt("prefetch probability outside [0, 1]");
+    }
+    // The prefetch partition orders its ejection heap by eject_cost (a
+    // NaN breaks that order), and completion_ms feeds the stall clock.
+    if (!std::isfinite(entry.eject_cost) ||
+        !std::isfinite(entry.completion_ms)) {
+      corrupt("non-finite prefetch eject cost or completion time");
     }
     if (cache_.contains(entry.block)) {
       corrupt("duplicate block in prefetch residency list");

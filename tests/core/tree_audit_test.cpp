@@ -158,5 +158,21 @@ TEST_F(TreeAuditDetection, UnreachableParsePositionFires) {
   EXPECT_THROW(tree.audit(), std::runtime_error);
 }
 
+TEST_F(TreeAuditDetection, FreedSlotWithStaleLinkFires) {
+  PrefetchTree tree = small_tree();
+  const NodeId a = tree.find_child(tree.root(), 1);
+  const NodeId c = tree.find_child(a, 3);
+  ASSERT_NE(c, kNoNode);
+  // Evict leaf c the way the leaf-LRU bound does, which leaves a clean
+  // tree, then give the freed slot a stale last-visited-child link: only
+  // the node pool's freed-slot hygiene check can see it.
+  AuditTestAccess::leaf_lru(tree).erase(c);
+  AuditTestAccess::pool(tree).destroy(c);
+  AuditTestAccess::leaf_lru(tree).push_front(a);
+  ASSERT_NO_THROW(tree.audit());
+  AuditTestAccess::pool(tree).cold(c).last_visited_child = a;
+  EXPECT_THROW(tree.audit(), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace pfp::core::tree

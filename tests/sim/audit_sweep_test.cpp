@@ -1,5 +1,6 @@
 // End-to-end SIM_AUDIT coverage: drive real simulations and sweep the
-// buffer-cache invariants periodically.  The unit detection tests prove
+// buffer-cache invariants and, for the tree policy, the live LZ tree and
+// its node pool periodically.  The unit detection tests prove
 // each audit *can* fire; this proves the real simulator keeps every
 // invariant across all four paper workloads and the main policy shapes.
 // Skips when built without SIM_AUDIT (the sanitizer CI legs enable it).
@@ -50,14 +51,14 @@ TEST_P(SimulatorAuditSweep, InvariantsHoldThroughoutRun) {
         simulator.buffer_cache().audit();
         if (const auto* tp = dynamic_cast<const core::policy::TreeCostBenefit*>(
                 &simulator.prefetcher())) {
-          tp->audit_enumeration_cache();
+          tp->prefetch_tree().audit();
         }
       }
     }
     simulator.buffer_cache().audit();
     if (const auto* tp = dynamic_cast<const core::policy::TreeCostBenefit*>(
             &simulator.prefetcher())) {
-      tp->audit_enumeration_cache();
+      tp->prefetch_tree().audit();
     }
   }
 }
