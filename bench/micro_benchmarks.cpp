@@ -241,16 +241,36 @@ void BM_DemandCacheHitWithDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_DemandCacheHitWithDepth);
 
+// Process CPU time in ns: every thread, so a sharded row's workers are
+// charged, spinning or not.
+double process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+}
+
+// Reports process CPU per access as the "cpu_ns_per_access" counter.
+// Co-tenant drift moves wall time far more than process CPU, and a
+// sharded row's CPU cost reads directly against BM_AccessMany/1's.
+void report_cpu_per_access(benchmark::State& state, double cpu_ns,
+                           std::size_t accesses_per_iteration) {
+  state.counters["cpu_ns_per_access"] =
+      cpu_ns / (static_cast<double>(state.iterations()) *
+                static_cast<double>(accesses_per_iteration));
+}
+
 void BM_SimulatorThroughput(benchmark::State& state) {
   const auto& t = cad_trace();
   const auto kind =
       static_cast<core::policy::PolicyKind>(state.range(0));
+  const double cpu_start = process_cpu_ns();
   for (auto _ : state) {
     engine::EngineConfig config;
     config.cache_blocks = 1024;
     config.policy.kind = kind;
     benchmark::DoNotOptimize(sim::simulate(config, t));
   }
+  report_cpu_per_access(state, process_cpu_ns() - cpu_start, t.size());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(t.size()));
   state.SetLabel(core::policy::kind_name(kind));
@@ -271,15 +291,15 @@ BENCHMARK(BM_SimulatorThroughput)
     ->Unit(benchmark::kMillisecond);
 
 // Single-engine access throughput at each observability level.  Arg(0)
-// is the baseline (counters only — the always-on cost of a PFP_OBS
-// build), Arg(1) adds the six phase timers (one steady_clock read per
-// stage boundary), Arg(2) adds a 4096-event trace ring on top.  The
-// items/s spread between the args IS the measured obs overhead quoted
-// in docs/observability.md; in a -DPFP_OBS=OFF build all three args
-// measure the same zero-instrumentation engine.
+// is the baseline (counters only — the always-on cost: one publish per
+// access_many() call), Arg(1) adds the six phase timers (one
+// steady_clock read per stage boundary), Arg(2) adds a 4096-event trace
+// ring on top.  The items/s spread between the args IS the measured obs
+// overhead quoted in docs/observability.md.
 void BM_EngineObsOverhead(benchmark::State& state) {
   const auto& t = cad_trace();
   const auto level = state.range(0);
+  const double cpu_start = process_cpu_ns();
   for (auto _ : state) {
     engine::EngineConfig config;
     config.cache_blocks = 1024;
@@ -291,6 +311,7 @@ void BM_EngineObsOverhead(benchmark::State& state) {
     benchmark::DoNotOptimize(eng.metrics());
     benchmark::DoNotOptimize(eng.stats());
   }
+  report_cpu_per_access(state, process_cpu_ns() - cpu_start, t.size());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(t.size()));
   state.SetLabel(level == 0 ? "counters"
@@ -313,23 +334,6 @@ const std::vector<trace::BlockId>& cad_blocks() {
     return out;
   }();
   return blocks;
-}
-
-// Process CPU time in ns: every thread, so a sharded row's workers are
-// charged, spinning or not.
-double process_cpu_ns() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
-}
-
-// Reports process CPU per access as the "cpu_ns_per_access" counter, so
-// a sharded row's CPU cost reads directly against BM_AccessMany/1's.
-void report_cpu_per_access(benchmark::State& state, double cpu_ns,
-                           std::size_t accesses_per_iteration) {
-  state.counters["cpu_ns_per_access"] =
-      cpu_ns / (static_cast<double>(state.iterations()) *
-                static_cast<double>(accesses_per_iteration));
 }
 
 // Shared config for the sharded-throughput family: the stream is dealt
@@ -386,8 +390,8 @@ BENCHMARK(BM_ShardedThroughput)
 
 // Single-engine batched vs push-one: the same trace fed through
 // access_many() one block per call (Arg 0) and in one span (Arg 1).  The
-// spread is the per-call setup the batched loop hoists — context build,
-// dispatch resolution, observability publish — with no queues involved;
+// spread is the per-call setup the batched loop hoists — context build
+// and observability publish — with no queues involved;
 // metrics are bit-identical by the access_many() contract.
 void BM_AccessMany(benchmark::State& state) {
   const auto& blocks = cad_blocks();

@@ -36,7 +36,10 @@ then change/baseline, ...) so slow drift on a shared host lands on both
 sides.  Each row's per-pair ratio is change items/s over baseline
 items/s (> 1 means the change is faster); the report gives its median,
 min and max, how many pairs the change won and each side's median
-items/s.  Nothing is written.
+items/s.  Rows that report a cpu_ns_per_access counter (process CPU per
+access, which co-tenant drift moves far less than wall time) also get
+the median per-pair CPU ratio, baseline CPU over change CPU (> 1 means
+the change uses less CPU).  Nothing is written.
 """
 
 import argparse
@@ -69,9 +72,8 @@ def run_benchmarks(binary: pathlib.Path, bench_filter: str | None,
         sys.exit(2)
 
 
-def snapshot(raw: dict) -> dict:
-    """Flatten google-benchmark JSON to {name: items_per_second}."""
-    out = {}
+def rows(raw: dict):
+    """Yields (name[label], row) for each non-aggregate benchmark row."""
     for bench in raw.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
@@ -79,6 +81,13 @@ def snapshot(raw: dict) -> dict:
         label = bench.get("label")
         if label:
             name = f"{name}[{label}]"
+        yield name, bench
+
+
+def snapshot(raw: dict) -> dict:
+    """Flatten google-benchmark JSON to {name: items_per_second}."""
+    out = {}
+    for name, bench in rows(raw):
         ips = bench.get("items_per_second")
         if ips is None:
             # Fall back to inverse wall time so every benchmark lands in
@@ -89,6 +98,12 @@ def snapshot(raw: dict) -> dict:
             ips = 1.0 / (bench["real_time"] * unit)
         out[name] = ips
     return out
+
+
+def cpu_snapshot(raw: dict) -> dict:
+    """{name: cpu_ns_per_access} for the rows that report the counter."""
+    return {name: bench["cpu_ns_per_access"] for name, bench in rows(raw)
+            if "cpu_ns_per_access" in bench}
 
 
 def git_sha() -> str:
@@ -178,17 +193,27 @@ def ab_schedule(pairs: int) -> list:
     return order
 
 
-def summarize_ab(base_runs: list, change_runs: list) -> dict:
+def summarize_ab(base_runs: list, change_runs: list,
+                 base_cpu: list | None = None,
+                 change_cpu: list | None = None) -> dict:
     """Per-row per-pair ratios (change / baseline items/s) summarized as
-    {name: {median, min, max, wins, pairs, base, change}}, where base and
-    change are each side's median items/s; rows absent from either side
-    of a pair are left out of that pair."""
+    {name: {median, min, max, wins, pairs, base, change, cpu}}, where base
+    and change are each side's median items/s and cpu is the median
+    per-pair baseline / change cpu_ns_per_access (None for rows that do
+    not report it); rows absent from either side of a pair are left out
+    of that pair."""
     pairs = {}
     for base, change in zip(base_runs, change_runs):
         for name, ips in change.items():
             ref = base.get(name)
             if isinstance(ref, (int, float)) and ref > 0:
                 pairs.setdefault(name, []).append((ref, ips))
+    cpu_ratios = {}
+    for base, change in zip(base_cpu or [], change_cpu or []):
+        for name, ns in change.items():
+            ref = base.get(name)
+            if isinstance(ref, (int, float)) and ns > 0:
+                cpu_ratios.setdefault(name, []).append(ref / ns)
     summary = {}
     for name, sides in pairs.items():
         ratios = [ips / ref for ref, ips in sides]
@@ -200,6 +225,8 @@ def summarize_ab(base_runs: list, change_runs: list) -> dict:
             "pairs": len(ratios),
             "base": statistics.median(ref for ref, _ in sides),
             "change": statistics.median(ips for _, ips in sides),
+            "cpu": (statistics.median(cpu_ratios[name])
+                    if name in cpu_ratios else None),
         }
     return summary
 
@@ -210,12 +237,15 @@ def run_ab(binary: pathlib.Path, baseline: pathlib.Path, pairs: int,
         print(f"baseline binary not found: {baseline}", file=sys.stderr)
         return 2
     runs = {"base": [None] * pairs, "change": [None] * pairs}
+    cpu = {"base": [None] * pairs, "change": [None] * pairs}
     for pair, side in ab_schedule(pairs):
         target = baseline if side == "base" else binary
-        runs[side][pair] = snapshot(run_benchmarks(target, bench_filter,
-                                                   min_time))
+        raw = run_benchmarks(target, bench_filter, min_time)
+        runs[side][pair] = snapshot(raw)
+        cpu[side][pair] = cpu_snapshot(raw)
         print(f"pair {pair + 1}/{pairs}: ran {side}", file=sys.stderr)
-    summary = summarize_ab(runs["base"], runs["change"])
+    summary = summarize_ab(runs["base"], runs["change"], cpu["base"],
+                           cpu["change"])
     if not summary:
         print("no benchmark ran on both sides (bad --filter?)",
               file=sys.stderr)
@@ -227,11 +257,13 @@ def run_ab(binary: pathlib.Path, baseline: pathlib.Path, pairs: int,
 def print_ab(summary: dict) -> None:
     width = max(map(len, summary))
     print(f"{'row':{width}}  median     min     max  wins"
-          f"   base items/s  change items/s")
+          f"   base items/s  change items/s      cpu")
     for name, row in sorted(summary.items()):
+        cpu = "-" if row["cpu"] is None else f"{row['cpu']:.3f}x"
         print(f"{name:{width}}  {row['median']:6.3f}x {row['min']:6.3f}x "
               f"{row['max']:6.3f}x  {row['wins']}/{row['pairs']}"
-              f"  {row['base']:>13,.0f}  {row['change']:>14,.0f}")
+              f"  {row['base']:>13,.0f}  {row['change']:>14,.0f}"
+              f"  {cpu:>7}")
 
 
 def self_test() -> int:
@@ -298,9 +330,29 @@ def self_test() -> int:
     expect("ab ratios are change over baseline, per pair",
            summary.get("BM_A") == {"median": 1.2, "min": 0.9, "max": 1.5,
                                    "wins": 2, "pairs": 3, "base": 100.0,
-                                   "change": 150.0})
+                                   "change": 150.0, "cpu": None})
     expect("ab leaves out rows missing on either side",
            set(summary) == {"BM_A"})
+    cpu_summary = summarize_ab(
+        [{"BM_A": 100.0, "BM_B": 1.0}, {"BM_A": 100.0, "BM_B": 1.0},
+         {"BM_A": 100.0, "BM_B": 1.0}],
+        [{"BM_A": 100.0, "BM_B": 1.0}, {"BM_A": 100.0, "BM_B": 1.0},
+         {"BM_A": 100.0, "BM_B": 1.0}],
+        [{"BM_A": 300.0}, {"BM_A": 100.0}, {}],
+        [{"BM_A": 200.0}, {"BM_A": 125.0}, {"BM_A": 50.0}])
+    expect("ab cpu ratio is the median of baseline over change cpu/access",
+           cpu_summary["BM_A"]["cpu"] == statistics.median([1.5, 0.8]))
+    expect("ab cpu ratio is None for rows that report no cpu counter",
+           cpu_summary["BM_B"]["cpu"] is None)
+    raw = {"benchmarks": [
+        {"name": "BM_A", "label": "x", "run_type": "iteration",
+         "items_per_second": 10.0, "cpu_ns_per_access": 42.0},
+        {"name": "BM_B", "run_type": "iteration", "items_per_second": 5.0},
+        {"name": "BM_A_mean", "run_type": "aggregate",
+         "cpu_ns_per_access": 1.0}]}
+    expect("cpu snapshot keys rows like the items/s snapshot",
+           cpu_snapshot(raw) == {"BM_A[x]": 42.0}
+           and set(snapshot(raw)) == {"BM_A[x]", "BM_B"})
     with tempfile.TemporaryDirectory() as tmp:
         expect("ab exits 2 on a missing baseline binary",
                run_ab(pathlib.Path(tmp) / "absent",

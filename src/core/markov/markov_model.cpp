@@ -40,8 +40,10 @@ void DeltaMarkov::observe(trace::BlockId block) {
     has_prev_block_ = true;
     return;
   }
-  const std::int64_t delta = static_cast<std::int64_t>(block) -
-                             static_cast<std::int64_t>(prev_block_);
+  // Block ids are arbitrary u64s (a served tenant takes them off the
+  // wire), so two may lie 2^63 or more apart: take the delta modulo
+  // 2^64, where a signed subtraction would overflow.
+  const auto delta = static_cast<std::int64_t>(block - prev_block_);
   if (has_prev_delta_) {
     record(prev_delta_, delta);
   }
@@ -189,10 +191,11 @@ void DeltaMarkov::walk_chains(
     if (p1 < limits.min_probability) {
       break;  // sorted descending: everything after is weaker
     }
-    const std::int64_t first =
-        static_cast<std::int64_t>(prev_block_) + t[i].delta;
-    if (first < 0) {
-      continue;  // delta walks off the front of the address space
+    std::int64_t first = 0;
+    if (__builtin_add_overflow(static_cast<std::int64_t>(prev_block_),
+                               t[i].delta, &first) ||
+        first < 0) {
+      continue;  // delta walks off the address space
     }
     out.push_back(costben::PredictedBlock{
         static_cast<std::uint64_t>(first), p1, 1.0, 1});
@@ -211,8 +214,7 @@ void DeltaMarkov::walk_chains(
       if (p < limits.min_probability) {
         break;
       }
-      base += next.delta;
-      if (base < 0) {
+      if (__builtin_add_overflow(base, next.delta, &base) || base < 0) {
         break;
       }
       out.push_back(costben::PredictedBlock{

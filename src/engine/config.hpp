@@ -21,8 +21,8 @@ struct EngineConfig {
   core::costben::TimingParams timing;
   core::policy::PolicySpec policy;
   /// Observability knobs (docs/observability.md).  Counters are always
-  /// live when PFP_OBS is compiled in; phase timers and the event ring
-  /// are opt-in here.  Never affects prefetch decisions.
+  /// live; phase timers and the event ring are opt-in here.  Never
+  /// affects prefetch decisions.
   obs::ObsOptions obs;
 };
 

@@ -6,9 +6,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <typeinfo>
 
-#include "core/policy/dispatch.hpp"
 #include "util/assert.hpp"
 #include "util/binary_io.hpp"
 
@@ -18,34 +16,6 @@ using core::policy::AccessOutcome;
 using core::policy::Context;
 
 namespace {
-
-// Qualified-call proxy for the devirtualized access_many() loop: `P` is
-// the exact dynamic type (asserted at dispatch), so P::member calls skip
-// the vtable and can inline.  Works for non-final policies too — kTree
-// maps to a TreeCostBenefit object even though subclasses of it exist.
-template <typename P>
-struct Direct {
-  P& p;
-  void on_access(trace::BlockId block, AccessOutcome outcome, Context& ctx) {
-    p.P::on_access(block, outcome, ctx);
-  }
-  void reclaim_for_demand(Context& ctx) { p.P::reclaim_for_demand(ctx); }
-  void on_prefetch_consumed(const cache::PrefetchEntry& entry, Context& ctx) {
-    p.P::on_prefetch_consumed(entry, ctx);
-  }
-};
-
-// Vtable proxy: the fallback for policy kinds without a dedicated loop.
-struct Virtual {
-  core::policy::Prefetcher& p;
-  void on_access(trace::BlockId block, AccessOutcome outcome, Context& ctx) {
-    p.on_access(block, outcome, ctx);
-  }
-  void reclaim_for_demand(Context& ctx) { p.reclaim_for_demand(ctx); }
-  void on_prefetch_consumed(const cache::PrefetchEntry& entry, Context& ctx) {
-    p.on_prefetch_consumed(entry, ctx);
-  }
-};
 
 // --- snapshot image ("PFEG") -------------------------------------------
 
@@ -86,7 +56,6 @@ Context PrefetchEngine::make_context() {
 }
 
 void PrefetchEngine::publish_observability() {
-#ifdef PFP_OBS
   // The engine's driving thread is the unique observability writer (the
   // class is single-threaded by contract; ShardedEngine gives each shard
   // its own engine).  Declare the roles once for the whole batch.
@@ -109,7 +78,6 @@ void PrefetchEngine::publish_observability() {
   counters.elapsed_virtual_us.set(
       static_cast<std::uint64_t>(metrics_.elapsed_ms * 1000.0));
   gate.end_write();
-#endif
 }
 
 void PrefetchEngine::write_chrome_trace(std::ostream& out) const {
@@ -117,8 +85,7 @@ void PrefetchEngine::write_chrome_trace(std::ostream& out) const {
   obs::write_chrome_trace(out, rings);
 }
 
-template <typename PolicyRef>
-AccessOutcome PrefetchEngine::step_one(PolicyRef policy, trace::BlockId block,
+AccessOutcome PrefetchEngine::step_one(trace::BlockId block,
                                        std::optional<trace::BlockId> next,
                                        Context& ctx) {
   const double period_start = metrics_.elapsed_ms;
@@ -128,13 +95,11 @@ AccessOutcome PrefetchEngine::step_one(PolicyRef policy, trace::BlockId block,
   ctx.now_ms = period_start;
   ctx.next_block = next;
   phase_clock_.start();
-#ifdef PFP_OBS
   const bool tracing = obs_.ring().enabled();
   const std::uint64_t ejections_before =
       tracing ? metrics_.policy.prefetch_ejections +
                     metrics_.policy.demand_ejections
               : 0;
-#endif
 
   const auto result = cache_.access(block);
   ++metrics_.accesses;
@@ -161,7 +126,7 @@ AccessOutcome PrefetchEngine::step_one(PolicyRef policy, trace::BlockId block,
     phase_clock_.mark(util::EnginePhase::kLookup);
     // Consumption feeds the estimator EWMAs, so its time is charged to
     // the predictor-update phase (closed by the policy's own mark).
-    policy.on_prefetch_consumed(pf->entry, ctx);
+    policy_->on_prefetch_consumed(pf->entry, ctx);
   } else {
     outcome = AccessOutcome::kMiss;
     ++metrics_.misses;
@@ -173,7 +138,7 @@ AccessOutcome PrefetchEngine::step_one(PolicyRef policy, trace::BlockId block,
     metrics_.stall_ms += stall;
     phase_clock_.mark(util::EnginePhase::kLookup);
     if (cache_.free_buffers() == 0) {
-      policy.reclaim_for_demand(ctx);
+      policy_->reclaim_for_demand(ctx);
       PFP_REQUIRE(cache_.free_buffers() >= 1);
     }
     cache_.admit_demand(block);
@@ -183,21 +148,22 @@ AccessOutcome PrefetchEngine::step_one(PolicyRef policy, trace::BlockId block,
   // Policy turn: learn from the access, then issue this period's
   // prefetches; each costs T_driver of CPU time (Figure 3b).
   const std::uint64_t issued_before = metrics_.policy.prefetches_issued;
-  policy.on_access(block, outcome, ctx);
+  policy_->on_access(block, outcome, ctx);
   const std::uint64_t issued =
       metrics_.policy.prefetches_issued - issued_before;
   metrics_.elapsed_ms +=
       static_cast<double>(issued) * config_.timing.t_driver;
 
   // Keep the disk aggregates current so callers see fresh metrics
-  // without a run epilogue.
-  metrics_.disk_queue_delay_ms = disks_.queue_delay_ms();
-  metrics_.disk_requests = disks_.requests();
+  // without a run epilogue.  The disk array is transient, so its totals
+  // count only since construction or restore; the base carries the rest.
+  metrics_.disk_queue_delay_ms =
+      disk_base_.queue_delay_ms + disks_.queue_delay_ms();
+  metrics_.disk_requests = disk_base_.requests + disks_.requests();
   // Closes the policy turn: for tree policies this spans the issue loop
   // and end_period; policies without internal marks land whole here.
   phase_clock_.mark(util::EnginePhase::kIssue);
 
-#ifdef PFP_OBS
   if (tracing) {
     // Same single-threaded contract as publish_observability(): this
     // thread is the ring's unique writer.
@@ -229,19 +195,16 @@ AccessOutcome PrefetchEngine::step_one(PolicyRef policy, trace::BlockId block,
       ring.emit(event);
     }
   }
-#endif
 
   PFP_DASSERT(cache_.resident() <= cache_.total_blocks());
   return outcome;
 }
 
-template <typename PolicyRef>
-void PrefetchEngine::run_blocks(PolicyRef policy,
-                                std::span<const trace::BlockId> blocks,
+void PrefetchEngine::run_blocks(std::span<const trace::BlockId> blocks,
                                 std::span<const trace::BlockId> lookahead,
                                 Context& ctx) {
-  // The batched inner loop: per-access setup (Context build, policy
-  // dispatch, observability publish) is hoisted to the batch boundary.
+  // The batched inner loop: per-access setup (Context build,
+  // observability publish) is hoisted to the batch boundary.
   const std::size_t n = blocks.size();
   for (std::size_t i = 0; i < n; ++i) {
     std::optional<trace::BlockId> next;
@@ -250,7 +213,7 @@ void PrefetchEngine::run_blocks(PolicyRef policy,
     } else if (!lookahead.empty()) {
       next = lookahead.front();
     }
-    step_one(policy, blocks[i], next, ctx);
+    step_one(blocks[i], next, ctx);
   }
   publish_observability();
 }
@@ -263,16 +226,7 @@ BatchResult PrefetchEngine::access_many(
   const std::uint64_t misses = metrics_.misses;
   const double elapsed_ms = metrics_.elapsed_ms;
   Context ctx = make_context();
-  core::policy::dispatch_kind(config_.policy.kind, [&](auto tag) {
-    using PolicyT = typename decltype(tag)::type;
-    if constexpr (std::is_same_v<PolicyT, core::policy::Prefetcher>) {
-      run_blocks(Virtual{*policy_}, blocks, lookahead, ctx);  // vtable
-    } else {
-      PFP_DASSERT(typeid(*policy_) == typeid(PolicyT));
-      run_blocks(Direct<PolicyT>{static_cast<PolicyT&>(*policy_)}, blocks,
-                 lookahead, ctx);
-    }
-  });
+  run_blocks(blocks, lookahead, ctx);
 
   BatchResult result;
   result.demand_hits = metrics_.demand_hits - demand_hits;
@@ -482,6 +436,7 @@ void PrefetchEngine::restore(std::span<const std::uint8_t> image) {
   }
 
   metrics_ = restored;
+  disk_base_ = {restored.disk_requests, restored.disk_queue_delay_ms};
   publish_observability();
 }
 

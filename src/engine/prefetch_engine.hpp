@@ -15,9 +15,9 @@
 //     if (r.misses != 0) { ... }
 //   }
 //
-// sim::Simulator is a thin replay shell over this class; the
-// devirtualized per-policy loop lives here so replay throughput and
-// embedded behaviour can never drift apart.
+// sim::Simulator is a thin replay shell over this class; the per-access
+// loop lives here so replay throughput and embedded behaviour can never
+// drift apart.
 // Layering: engine/ sits between core/ and sim/ and must not include
 // sim/ (enforced by scripts/lint/check_conventions.py).
 #pragma once
@@ -62,9 +62,8 @@ class PrefetchEngine {
   /// Feeds a run of references through the state machine — cache
   /// access, timing charges, predictor learning, prefetch issue — with
   /// the per-access setup hoisted out of the inner loop: the Context is
-  /// built once, the policy dispatch is resolved once to a devirtualized
-  /// loop, and the observability mirror is published once per call (one
-  /// stats-gate write section; the trace ring still records every
+  /// built once and the observability mirror is published once per call
+  /// (one stats-gate write section; the trace ring still records every
   /// access).  Splitting a stream into calls of any size changes no
   /// metric and no decision.
   ///
@@ -103,8 +102,7 @@ class PrefetchEngine {
   /// Live observability snapshot: lock-free counters/gauges, per-phase
   /// latency histograms and trace-ring occupancy.  Safe to call from any
   /// thread while another thread drives access_many() — the read retries a
-  /// seqlock for a consistent cut (docs/observability.md).  All zeros
-  /// when PFP_OBS is compiled out.
+  /// seqlock for a consistent cut (docs/observability.md).
   [[nodiscard]] obs::EngineStats stats() const { return obs_.stats(); }
 
   /// The live observability backend (trace-ring access for dump tools).
@@ -118,24 +116,26 @@ class PrefetchEngine {
   void write_chrome_trace(std::ostream& out) const;
 
  private:
-  // `PolicyRef` is a dispatch proxy: Virtual goes through the vtable,
-  // Direct<P> makes qualified calls on the exact dynamic type.
-  template <typename PolicyRef>
-  core::policy::AccessOutcome step_one(PolicyRef policy, trace::BlockId block,
+  core::policy::AccessOutcome step_one(trace::BlockId block,
                                        std::optional<trace::BlockId> next,
                                        core::policy::Context& ctx);
-  template <typename PolicyRef>
-  void run_blocks(PolicyRef policy, std::span<const trace::BlockId> blocks,
+  void run_blocks(std::span<const trace::BlockId> blocks,
                   std::span<const trace::BlockId> lookahead,
                   core::policy::Context& ctx);
   [[nodiscard]] core::policy::Context make_context();
   /// Publishes the deterministic metrics into the lock-free obs cells
-  /// (one SnapshotGate write section); no-op when PFP_OBS is off.
+  /// (one SnapshotGate write section).
   void publish_observability();
 
   EngineConfig config_;
   cache::BufferCache cache_;
   cache::DiskArray disks_;
+  /// Disk totals restored from a snapshot; disks_ counts only what came
+  /// after, so Metrics reports base + live.
+  struct DiskTotals {
+    std::uint64_t requests = 0;
+    double queue_delay_ms = 0.0;
+  } disk_base_;
   cache::StackDistanceEstimator stack_;
   core::costben::Estimators estimators_;
   std::unique_ptr<core::policy::Prefetcher> policy_;

@@ -3,22 +3,19 @@
 // One EngineObs instance rides inside each engine::PrefetchEngine (one
 // per shard under ShardedEngine).  The engine thread publishes its
 // deterministic Metrics counters into the lock-free cells once per
-// access period inside a SnapshotGate write section; scraper threads
+// access_many() call inside a SnapshotGate write section; scraper threads
 // call stats() at any time and get a consistent cut without stopping the
 // engine.  The phase stopwatch and the event-trace ring are owned here
 // too, so the engine wires exactly one object.
 //
 // Observability is strictly write-only from the engine's point of view:
 // nothing in this layer ever feeds back into a prefetch decision, which
-// is why every metric pin stays bit-identical with obs compiled in, out,
-// or runtime-disabled.
+// is why every metric pin stays bit-identical with the phase timers and
+// the event ring armed or idle.
 //
-// Zero-cost story: the PFP_OBS CMake option (ON by default) gates the
-// engine's per-access publishing code and the util::PhaseCells /
-// util::PhaseStopwatch internals.  With PFP_OBS=OFF this class still
-// compiles (identical API) but nothing writes to it and stats() returns
-// zeros — the engine hot path contains no observability instructions at
-// all (verified against BENCH_03, see docs/observability.md).
+// Cost story: idle, the layer costs one publish per access_many() call
+// (a dozen relaxed stores in one gate write section); the clock-reading
+// phase timers and the event ring are opt-in at runtime (ObsOptions).
 #pragma once
 
 #include <cstdint>
@@ -31,19 +28,10 @@
 
 namespace pfp::obs {
 
-/// True when the observability layer is compiled in (PFP_OBS CMake
-/// option); the no-op backend otherwise.
-#ifdef PFP_OBS
-inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
-
 /// Runtime knobs, carried in engine::EngineConfig.  Counters and gauges
-/// are always live when PFP_OBS is compiled in (they cost a handful of
-/// relaxed stores per access); the clock-reading phase timers and the
-/// event ring are opt-in because their overhead is measurable (see
-/// BENCH_04.json).
+/// are always live (a handful of relaxed stores per access_many() call);
+/// the clock-reading phase timers and the event ring are opt-in because
+/// their overhead is measurable (see BENCH_04.json).
 struct ObsOptions {
   /// Wrap the six state-machine stages in latency timers (7 steady_clock
   /// reads per access when on).
@@ -125,7 +113,7 @@ class EngineObs {
  public:
   explicit EngineObs(ObsOptions options)
       : options_(options),
-        ring_(kEnabled ? options.trace_capacity : 0) {}
+        ring_(options.trace_capacity) {}
 
   EngineObs(const EngineObs&) = delete;
   EngineObs& operator=(const EngineObs&) = delete;
@@ -140,7 +128,7 @@ class EngineObs {
   TraceRing& ring() noexcept { return ring_; }
   /// Null when phase timing is disabled (arm the stopwatch with this).
   [[nodiscard]] util::PhaseCells* phase_cells() noexcept {
-    return kEnabled && options_.phase_timers ? &phase_cells_ : nullptr;
+    return options_.phase_timers ? &phase_cells_ : nullptr;
   }
 
   // --- reader side (any thread) -----------------------------------------

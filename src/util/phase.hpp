@@ -8,22 +8,16 @@
 // and core must not depend on obs (layering: obs includes util only,
 // core includes util, engine includes both; see docs/observability.md).
 //
-// Everything in this header compiles to no-ops when the PFP_OBS CMake
-// option is OFF: the stopwatch becomes an empty struct, so instrumented
-// call sites cost literally nothing.  The macro is defined PUBLIC on
-// pfp_util (like SIM_AUDIT) so every translation unit agrees on the
-// layout of the instrumented types.
+// Phase timing is opt-in at runtime: an unarmed stopwatch costs one
+// predictable branch per mark and reads no clock.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
 #include "util/thread_annotations.hpp"
-
-#ifdef PFP_OBS
-#include <atomic>
-#include <chrono>
-#endif
 
 namespace pfp::util {
 
@@ -51,8 +45,6 @@ inline constexpr const char* kEnginePhaseNames[kEnginePhaseCount] = {
 /// bit_width(ns) == i, i.e. [2^(i-1), 2^i) ns, bucket 0 counts 0 ns.
 /// 32 buckets cap the histogram at ~2.1 s — far beyond any phase.
 inline constexpr std::size_t kPhaseBucketCount = 32;
-
-#ifdef PFP_OBS
 
 /// Live per-phase accumulation cells: sample count, total nanoseconds and
 /// fixed log2-bucket counts per phase.  Single-writer (the engine
@@ -118,8 +110,7 @@ class PhaseCells {
 /// Sequential-phase stopwatch: one clock read per phase boundary instead
 /// of two per phase.  start() stamps the origin; each mark(p) charges the
 /// time since the previous stamp to phase p.  Disarmed (null cells) it
-/// costs one predictable branch per call; with PFP_OBS off the whole
-/// class is an empty stub.
+/// costs one predictable branch per call.
 class PhaseStopwatch {
  public:
   void arm(PhaseCells* cells) noexcept { cells_ = cells; }
@@ -155,34 +146,9 @@ class PhaseStopwatch {
   std::uint64_t last_ = 0;
 };
 
-#else  // !PFP_OBS: zero-cost stubs with the same surface
-
-class PhaseCells {
- public:
-  void assert_writer() const noexcept {}
-  void add(EnginePhase, std::uint64_t) noexcept {}
-  [[nodiscard]] std::uint64_t count(std::size_t) const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t total_ns(std::size_t) const noexcept {
-    return 0;
-  }
-  [[nodiscard]] std::uint64_t bucket(std::size_t, std::size_t) const noexcept {
-    return 0;
-  }
-};
-
-class PhaseStopwatch {
- public:
-  void arm(PhaseCells*) noexcept {}
-  [[nodiscard]] bool armed() const noexcept { return false; }
-  void start() noexcept {}
-  void mark(EnginePhase) noexcept {}
-};
-
-#endif  // PFP_OBS
-
 /// Instrumentation stamp used by core policies: `phase_mark(ctx.phases,
 /// EnginePhase::kEnumeration)`.  Null-safe so uninstrumented drivers pass
-/// nullptr; compiles to nothing when PFP_OBS is off.
+/// nullptr.
 inline void phase_mark(PhaseStopwatch* stopwatch, EnginePhase phase) noexcept {
   if (stopwatch != nullptr) {
     stopwatch->mark(phase);

@@ -137,6 +137,34 @@ TEST(DeltaMarkov, NeverPredictsNegativeBlocks) {
   }
 }
 
+TEST(DeltaMarkov, BlocksFarApartKeepTheDeltaArithmeticDefined) {
+  // Block ids are arbitrary u64s.  Ids 2^63 apart must neither overflow
+  // the delta (UBSan builds abort on that) nor predict past either end
+  // of the address space, and a stride that wraps past the top is
+  // learned modulo 2^64.
+  constexpr trace::BlockId kHalf = trace::BlockId{1} << 63;
+  constexpr trace::BlockId kTop = ~trace::BlockId{0};
+  MarkovPredictLimits limits;
+  limits.max_depth = 8;
+
+  DeltaMarkov half;
+  for (int i = 0; i < 9; ++i) {
+    half.observe(i % 2 == 0 ? 0 : kHalf);
+    for (const PredictedBlock& c : predict(half, limits)) {
+      EXPECT_TRUE(c.block == 0 || c.block == kHalf) << c.block;
+    }
+  }
+
+  DeltaMarkov wrap;
+  for (int i = 0; i < 9; ++i) {
+    wrap.observe(i % 2 == 0 ? kTop : 0);
+  }
+  const auto out = predict(wrap, limits);  // last access: kTop
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.front().block, 0u);
+  EXPECT_DOUBLE_EQ(out.front().probability, 1.0);
+}
+
 TEST(DeltaMarkov, RowWidthDisplacesTheWeakestSuccessor) {
   MarkovConfig config;
   config.row_width = 2;

@@ -54,9 +54,6 @@ void expect_stats_mirror_metrics(const PrefetchEngine& eng) {
 }
 
 TEST(EngineObs, StatsMirrorDeterministicMetrics) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "PFP_OBS compiled out";
-  }
   PrefetchEngine eng(tree_config());
   const auto t = random_trace(7, 10'000, 300);
   eng.access_many(t.blocks());
@@ -88,9 +85,6 @@ TEST(EngineObs, InstrumentationNeverChangesDecisions) {
 }
 
 TEST(EngineObs, PhaseTimersCoverEveryAccess) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "PFP_OBS compiled out";
-  }
   EngineConfig config = tree_config();
   config.obs.phase_timers = true;
   PrefetchEngine eng(config);
@@ -117,9 +111,6 @@ TEST(EngineObs, PhaseTimersOffByDefault) {
 }
 
 TEST(EngineObs, TraceRingRecordsTheRun) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "PFP_OBS compiled out";
-  }
   EngineConfig config = tree_config();
   config.obs.trace_capacity = 256;
   PrefetchEngine eng(config);
@@ -145,9 +136,6 @@ TEST(EngineObs, TraceRingRecordsTheRun) {
 }
 
 TEST(EngineObs, RestoredEnginePublishesItsStats) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "PFP_OBS compiled out";
-  }
   PrefetchEngine eng(tree_config());
   eng.access_many(random_trace(13, 5'000, 200).blocks());
 
@@ -158,18 +146,6 @@ TEST(EngineObs, RestoredEnginePublishesItsStats) {
 
   expect_stats_mirror_metrics(resumed);
   EXPECT_EQ(resumed.stats().accesses, eng.stats().accesses);
-}
-
-TEST(EngineObs, DisabledBackendReportsZeros) {
-  if (obs::kEnabled) {
-    GTEST_SKIP() << "only meaningful with PFP_OBS off";
-  }
-  PrefetchEngine eng(tree_config());
-  eng.access_many(random_trace(7, 1'000, 100).blocks());
-  const auto stats = eng.stats();
-  EXPECT_EQ(stats.accesses, 0u);
-  EXPECT_EQ(stats.trace_capacity, 0u);
-  EXPECT_EQ(stats.phases.total_count(), 0u);
 }
 
 TEST(EngineObs, OversizedTraceCapacityRejected) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -117,6 +118,40 @@ TEST(PrefetchEngine, RestoredEngineContinuesLikeTheOriginal) {
     EXPECT_EQ(a.demand_hits, r.demand_hits) << "diverged at block " << b;
     EXPECT_EQ(a.prefetch_hits, r.prefetch_hits) << "diverged at block " << b;
     EXPECT_EQ(a.misses, r.misses) << "diverged at block " << b;
+  }
+}
+
+TEST(PrefetchEngine, DiskTotalsNeverDecreaseAcrossRestore) {
+  // The disk array is transient: a restored engine starts a fresh one,
+  // and its totals must add to the restored ones, not replace them.
+  EngineConfig config = tree_config();
+  config.disks = 2;
+  const auto t = random_trace(17, 6'000, 400);
+  const std::vector<trace::BlockId> blocks = t.blocks();
+  const std::span<const trace::BlockId> stream(blocks);
+  std::unique_ptr<PrefetchEngine> eng =
+      std::make_unique<PrefetchEngine>(config);
+  std::uint64_t requests = 0;
+  double queue_delay_ms = 0.0;
+  for (std::size_t round = 0; round < 3; ++round) {
+    for (std::size_t i = round * 2'000; i < (round + 1) * 2'000; i += 100) {
+      const std::uint64_t misses = eng->metrics().misses;
+      eng->access_many(stream.subspan(i, 100));
+      const Metrics& m = eng->metrics();
+      EXPECT_GE(m.disk_requests, requests + (m.misses - misses))
+          << "round " << round << " access " << i;
+      EXPECT_GE(m.disk_queue_delay_ms, queue_delay_ms)
+          << "round " << round << " access " << i;
+      requests = m.disk_requests;
+      queue_delay_ms = m.disk_queue_delay_ms;
+    }
+    EXPECT_GT(queue_delay_ms, 0.0) << "two disks never queued";
+    std::vector<std::uint8_t> image;
+    eng->snapshot(image);
+    eng = std::make_unique<PrefetchEngine>(config);
+    eng->restore(image);
+    EXPECT_EQ(eng->metrics().disk_requests, requests);
+    EXPECT_EQ(eng->metrics().disk_queue_delay_ms, queue_delay_ms);
   }
 }
 

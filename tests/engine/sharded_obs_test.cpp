@@ -31,9 +31,6 @@ trace::Trace random_trace(std::uint64_t seed, int length, int universe) {
 }
 
 TEST(ShardedObs, MergedStatsMatchMergedMetrics) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "PFP_OBS compiled out";
-  }
   ShardedEngine eng(sharded_config(4));
   const auto t = random_trace(21, 20'000, 600);
   for (const auto& rec : t) {
@@ -57,9 +54,6 @@ TEST(ShardedObs, MergedStatsAreAPureFunctionOfTraceAndShardCount) {
   // reproduce the merged counters exactly, independent of worker timing:
   // the positional deal fixes each shard's sub-stream, each shard is
   // deterministic on its sub-stream, and the merge folds in shard order.
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "PFP_OBS compiled out";
-  }
   const auto t = random_trace(33, 30'000, 800);
 
   auto run = [&t]() {
@@ -101,17 +95,12 @@ TEST(ShardedObs, PerShardViewsCarryQueueGauges) {
     EXPECT_EQ(s.queue_occupancy, 0u);  // flushed: queues drained
     accesses += s.accesses;
   }
-  if (obs::kEnabled) {
-    EXPECT_EQ(accesses, t.size());
-    // The merged view sums the per-shard queue capacity.
-    EXPECT_EQ(eng.stats().queue_capacity, 2u * 128u);
-  }
+  EXPECT_EQ(accesses, t.size());
+  // The merged view sums the per-shard queue capacity.
+  EXPECT_EQ(eng.stats().queue_capacity, 2u * 128u);
 }
 
 TEST(ShardedObs, ChromeTraceCarriesOneLanePerShard) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "PFP_OBS compiled out";
-  }
   auto config = sharded_config(2);
   config.engine.obs.trace_capacity = 512;
   ShardedEngine eng(config);
@@ -126,9 +115,6 @@ TEST(ShardedObs, ChromeTraceCarriesOneLanePerShard) {
 }
 
 TEST(ShardedObs, BackpressureWaitsSurfaceInMergedView) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "PFP_OBS compiled out";
-  }
   // A tiny queue forces the producer to wait at least occasionally on a
   // 1-shard engine driven with many references.
   ShardedConfig config = sharded_config(1);

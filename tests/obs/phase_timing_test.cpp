@@ -16,8 +16,6 @@ TEST(PhaseTiming, DefaultIsEmpty) {
   EXPECT_EQ(t.histogram(EnginePhase::kLookup).total(), 0u);
 }
 
-#ifdef PFP_OBS
-
 TEST(PhaseTiming, SampleCopiesLiveCells) {
   util::PhaseCells cells;
   cells.assert_writer();  // the test thread is the unique writer
@@ -101,8 +99,6 @@ TEST(PhaseStopwatch, ChargesElapsedToMarkedPhase) {
   EXPECT_EQ(cells.count(static_cast<std::size_t>(EnginePhase::kLookup)), 1u);
   EXPECT_EQ(cells.count(static_cast<std::size_t>(EnginePhase::kIssue)), 1u);
 }
-
-#endif  // PFP_OBS
 
 TEST(PhaseStopwatch, DisarmedMarksAreNoOps) {
   util::PhaseStopwatch clock;

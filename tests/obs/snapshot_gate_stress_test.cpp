@@ -5,9 +5,7 @@
 // EngineObs::stats() must *terminate* against a writer that never goes
 // quiescent — taking the torn-but-well-defined cut and saying so via
 // consistent=false — and PhaseTiming::sample() must stay well-defined
-// when scraped mid-write.  Both run with PFP_OBS on or off: the gate and
-// the stats() retry loop are compiled unconditionally; only the
-// phase-cell internals are stubbed, which the sample test accounts for.
+// when scraped mid-write.
 
 #include <algorithm>
 #include <atomic>
@@ -121,20 +119,13 @@ TEST(PhaseTimingStress, ConcurrentScrapeSeesMonotonicTotals) {
   }
   // On one CPU the writer may not have run yet; yield until it makes
   // progress so the final assertion checks a real concurrent scrape.
-  // (With PFP_OBS off the stub never progresses — the loop just spins
-  // its bounded yields and the zero branch below takes over.)
-  for (int i = 0; kEnabled && last_total == 0 && i < 100000; ++i) {
+  for (int i = 0; last_total == 0 && i < 100000; ++i) {
     std::this_thread::yield();
     last_total = PhaseTiming::sample(cells).total_count();
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
 
-  if (!kEnabled) {
-    // PFP_OBS=OFF stubs the cells: the whole run must sample as zero.
-    EXPECT_EQ(last_total, 0u);
-    GTEST_SKIP() << "PFP_OBS off: progress assertions not applicable";
-  }
   EXPECT_GT(last_total, 0u);
 }
 

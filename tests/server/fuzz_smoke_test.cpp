@@ -20,6 +20,10 @@ TEST(ProtocolFuzz, CorpusUpholdsTheErrorContract) {
   EXPECT_GT(report.errors_sent, 0u);
   EXPECT_GT(report.fatal_sessions, 0u);
   EXPECT_GT(report.bytes, 0u);
+  // RESTORE frames carry real images: some restore cleanly, and more
+  // reach PrefetchEngine::restore past the PFEG magic.
+  EXPECT_GT(report.restores_accepted, 0u);
+  EXPECT_GT(report.restores_past_magic, report.restores_accepted);
 }
 
 TEST(ProtocolFuzz, SameSeedSameVerdict) {
@@ -33,6 +37,7 @@ TEST(ProtocolFuzz, SameSeedSameVerdict) {
   EXPECT_EQ(a.frames_handled, b.frames_handled);
   EXPECT_EQ(a.errors_sent, b.errors_sent);
   EXPECT_EQ(a.fatal_sessions, b.fatal_sessions);
+  EXPECT_EQ(a.restores_past_magic, b.restores_past_magic);
   EXPECT_EQ(a.contract_violations, b.contract_violations);
 }
 

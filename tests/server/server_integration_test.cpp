@@ -245,16 +245,10 @@ TEST(ServerIntegration, MetricsEndpointServesTheMultiTenantExposition) {
 
   // The HTTP body is exactly the in-process renderer's output.
   EXPECT_EQ(body, server.render_metrics());
-  // A compiled-out observability backend reports zero counters by
-  // contract (EngineObs.DisabledBackendReportsZeros).
-#ifdef PFP_OBS
-  const char* const accesses_sample =
-      "pfp_accesses_total{tenant=\"scraped\",tenant_id=\"1\"} 3\n";
-#else
-  const char* const accesses_sample =
-      "pfp_accesses_total{tenant=\"scraped\",tenant_id=\"1\"} 0\n";
-#endif
-  EXPECT_NE(body.find(accesses_sample), std::string::npos) << body;
+  EXPECT_NE(body.find("pfp_accesses_total{tenant=\"scraped\","
+                      "tenant_id=\"1\"} 3\n"),
+            std::string::npos)
+      << body;
 
   // Light exposition-format validation: every line is a comment or a
   // pfp_-prefixed sample.

@@ -29,6 +29,8 @@ int main(int argc, char** argv) {
             << " frames=" << report.frames_handled
             << " errors=" << report.errors_sent
             << " fatal_sessions=" << report.fatal_sessions
+            << " restores_past_magic=" << report.restores_past_magic
+            << " restores_accepted=" << report.restores_accepted
             << " contract_violations=" << report.contract_violations
             << std::endl;
   if (report.contract_violations != 0) {
