@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         config.cache_blocks = 256;
         config.timing.t_cpu = t_cpu;
         config.policy = bench::spec_of(core::policy::PolicyKind::kTree);
-        config.policy.tree.refetch = rule.rule;
+        config.policy.controller.refetch = rule.rule;
         const auto r = sim::simulate(config, *t);
         table.row({t->name(), rule.name,
                    util::format_percent(r.metrics.miss_rate()),

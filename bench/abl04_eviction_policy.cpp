@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       engine::EngineConfig config;
       config.cache_blocks = 1024;
       config.policy = bench::spec_of(core::policy::PolicyKind::kTree);
-      config.policy.tree.reclaim = rule.rule;
+      config.policy.controller.reclaim = rule.rule;
       const auto r = sim::simulate(config, *t);
       table.row({t->name(), rule.name,
                  util::format_percent(r.metrics.miss_rate()),

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     for (const std::size_t budget : budgets) {
       sim::RunSpec tree = spec;
       tree.config.policy = bench::spec_of(core::policy::PolicyKind::kTree);
-      tree.config.policy.tree.tree.max_nodes = budget;
+      tree.config.policy.tree.max_nodes = budget;
       specs.push_back(tree);
     }
   }
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
         }
         if (r.policy_name == "no-prefetch") {
           base = r.metrics.miss_rate();
-        } else if (r.config.policy.tree.tree.max_nodes == budget) {
+        } else if (r.config.policy.tree.max_nodes == budget) {
           tree = r.metrics.miss_rate();
         }
       }

@@ -89,7 +89,7 @@ void BM_EnumerateCandidates(benchmark::State& state) {
   for (const auto& r : t) {
     tree.access(r.block);
   }
-  core::tree::EnumeratorLimits limits;
+  core::costben::PredictLimits limits;
   // Walk the parse along the trace while enumerating, to sample realistic
   // positions rather than just the root.
   std::size_t i = 0;
@@ -112,7 +112,7 @@ void BM_EnumerateCandidatesReuse(benchmark::State& state) {
   for (const auto& r : t) {
     tree.access(r.block);
   }
-  core::tree::EnumeratorLimits limits;
+  core::costben::PredictLimits limits;
   core::tree::CandidateEnumerator enumerator;
   std::size_t i = 0;
   for (auto _ : state) {
@@ -140,7 +140,7 @@ void BM_MarkovPredict(benchmark::State& state) {
   for (const auto& r : t) {
     model.observe(r.block);
   }
-  const core::markov::MarkovPredictLimits limits;
+  const core::costben::PredictLimits limits;
   std::vector<core::costben::PredictedBlock> out;
   std::size_t i = 0;
   for (auto _ : state) {

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
             << util::format_bytes(
                    static_cast<double>(tree.approx_memory_bytes()))
             << " at the paper's 40 B/node)\n";
-  core::tree::EnumeratorLimits limits;
+  core::costben::PredictLimits limits;
   limits.max_candidates = 5;
   // The parse may have ended on a context with no history yet; fall back
   // to the root, whose children are the traversal entry points.

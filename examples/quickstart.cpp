@@ -37,7 +37,7 @@ void demo_prefetch_tree() {
               << "\n";
   }
 
-  core::tree::EnumeratorLimits limits;
+  core::costben::PredictLimits limits;
   const auto candidates =
       core::tree::enumerate_candidates(tree, root, limits);
   std::cout << "prefetch candidates from the root, most probable first:\n";

@@ -46,6 +46,12 @@ docs/static-analysis.md for the rationale behind each):
                     one reviewed surface in util/net.hpp; a stray syscall
                     elsewhere escapes its EINTR/non-blocking discipline and
                     the server's event-loop ownership model.
+  single-admission  under src/core/, a prefetch enters the cache through
+                    one function: admit_prefetch( and disks.submit( may
+                    appear only inside the body of issue_prefetch
+                    (core/policy/eviction.cpp).  A second copy of its
+                    entry/submit/admit/count sequence would let Eq. 11
+                    pricing or the issue counters drift between policies.
   include-guard     every header under src/ uses #pragma once (repo
                     convention; mixing guard styles breaks the amalgamated
                     include checks).
@@ -79,6 +85,7 @@ import sys
 from typing import Iterable, List, NamedTuple
 
 HOT_DIRS = ("src/core", "src/cache", "src/obs")
+CORE_DIR = "src/core"
 COSTBEN_DIR = "src/core/costben"
 TREE_DIR = "src/core/tree"
 MARKOV_DIR = "src/core/markov"
@@ -151,6 +158,15 @@ RAW_SOCKET_RE = re.compile(
 )
 
 
+# The two calls only issue_prefetch may make under src/core/, and the
+# line that opens its definition (a return type before the name; a call
+# has none, and `return issue_prefetch(...)` is a call).
+ADMISSION_RE = re.compile(r"\badmit_prefetch\s*\(|\bdisks\s*\.\s*submit\s*\(")
+ISSUE_PREFETCH_DEF_RE = re.compile(
+    r"^\s*(?!return\b)(?:[\w:<>&*]+\s+)+(?:\w+::)*issue_prefetch\s*\("
+)
+
+
 class Violation(NamedTuple):
     path: str
     line: int  # 1-based; 0 for file-level findings
@@ -220,6 +236,40 @@ def code_lines(text: str) -> List[str]:
     return lines
 
 
+def issue_prefetch_body(code: List[str]) -> set:
+    """1-based numbers of the lines inside issue_prefetch's definition.
+
+    A line matching ISSUE_PREFETCH_DEF_RE opens a definition when a `{`
+    follows before any `;` (a declaration ends at the `;`); the body runs
+    until that brace closes.
+    """
+    inside: set = set()
+    pending = False  # saw the signature, waiting for `{` or `;`
+    depth = 0        # brace depth within the body; 0 = outside
+    for i, line in enumerate(code, start=1):
+        if not pending and depth == 0 and ISSUE_PREFETCH_DEF_RE.search(line):
+            pending = True
+        if not pending and depth == 0:
+            continue
+        inside.add(i)
+        for c in line:
+            if pending:
+                if c == ";":
+                    pending = False
+                    break
+                if c == "{":
+                    pending = False
+                    depth = 1
+                continue
+            if c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+    return inside
+
+
 def in_dir(rel: str, prefix: str) -> bool:
     return rel == prefix or rel.startswith(prefix + "/")
 
@@ -237,6 +287,8 @@ def check_file(root: pathlib.Path, path: pathlib.Path) -> List[Violation]:
     hot = any(in_dir(rel, d) for d in HOT_DIRS)
     costben = in_dir(rel, COSTBEN_DIR)
     tree = in_dir(rel, TREE_DIR)
+    admission_ok = (issue_prefetch_body(code) if in_dir(rel, CORE_DIR)
+                    else set())
 
     violations: List[Violation] = []
 
@@ -321,6 +373,12 @@ def check_file(root: pathlib.Path, path: pathlib.Path) -> List[Violation]:
             report(i, "naked-new",
                    "naked new; prefer containers or std::make_unique, "
                    "or waive with 'lint: allow(naked-new)'")
+        if (in_dir(rel, CORE_DIR) and i not in admission_ok
+                and ADMISSION_RE.search(line)):
+            report(i, "single-admission",
+                   "prefetch admitted or submitted outside issue_prefetch; "
+                   "call issue_prefetch (core/policy/eviction.hpp) so "
+                   "pricing, disk submit and counters stay one path")
         if costben and FLOAT_RE.search(line):
             report(i, "no-float-costben",
                    "cost-model arithmetic (paper Eq. 1-14) must stay "

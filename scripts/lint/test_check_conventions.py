@@ -599,6 +599,73 @@ class ObsHotPathRules(LintHarness):
         self.assertEqual(self.rules(found), set())
 
 
+class SingleAdmissionRule(LintHarness):
+    ISSUE_PREFETCH = (
+        "void issue_prefetch(Context& ctx, BlockId block, double p,\n"
+        "                    std::uint32_t depth, std::uint32_t x, bool obl) {\n"
+        "  cache::PrefetchEntry entry;\n"
+        "  if (obl) {\n"
+        "    entry.obl = true;\n"
+        "  }\n"
+        "  entry.completion_ms = ctx.disks.submit(block, ctx.now_ms);\n"
+        "  ctx.cache.admit_prefetch(entry);\n"
+        "}\n")
+
+    def test_admit_outside_issue_prefetch_fires(self) -> None:
+        found = self.lint_file(
+            "src/core/policy/bad.cpp",
+            "void Policy::on_access(Context& ctx) {\n"
+            "  ctx.cache.admit_prefetch(entry);\n"
+            "}\n")
+        self.assertIn("single-admission", self.rules(found))
+        self.assertEqual(found[0].line, 2)
+
+    def test_disk_submit_outside_issue_prefetch_fires(self) -> None:
+        found = self.lint_file(
+            "src/core/policy/bad.cpp",
+            "double t = ctx.disks . submit(block, ctx.now_ms);\n")
+        self.assertIn("single-admission", self.rules(found))
+
+    def test_inside_issue_prefetch_is_fine(self) -> None:
+        found = self.lint_file("src/core/policy/eviction.cpp",
+                               self.ISSUE_PREFETCH)
+        self.assertEqual(self.rules(found), set())
+
+    def test_exemption_ends_with_the_body(self) -> None:
+        found = self.lint_file(
+            "src/core/policy/eviction.cpp",
+            self.ISSUE_PREFETCH +
+            "void other(Context& ctx) { ctx.cache.admit_prefetch(e); }\n")
+        self.assertEqual([v.line for v in found], [10])
+
+    def test_declaration_and_calls_grant_no_exemption(self) -> None:
+        found = self.lint_file(
+            "src/core/policy/bad.cpp",
+            "void issue_prefetch(Context& ctx, BlockId block);\n"
+            "void f(Context& ctx) {\n"
+            "  return issue_prefetch(ctx, ctx.disks.submit(1, 0.0));\n"
+            "}\n"
+            "ctx.cache.admit_prefetch(entry);\n")
+        self.assertEqual([v.line for v in found], [3, 5])
+
+    def test_outside_core_is_fine(self) -> None:
+        found = self.lint_file(
+            "src/engine/restore.cpp", "cache_.admit_prefetch(entry);\n")
+        self.assertEqual(self.rules(found), set())
+
+    def test_mention_in_comment_is_fine(self) -> None:
+        found = self.lint_file(
+            "src/core/policy/good.cpp",
+            "// only issue_prefetch calls ctx.cache.admit_prefetch(entry)\n")
+        self.assertEqual(self.rules(found), set())
+
+    def test_line_waiver_silences(self) -> None:
+        found = self.lint_file(
+            "src/core/policy/waived.cpp",
+            "ctx.cache.admit_prefetch(e);  // lint: allow(single-admission)\n")
+        self.assertEqual(self.rules(found), set())
+
+
 class Driver(LintHarness):
     def test_run_reports_all_violations_and_exits_one(self) -> None:
         self.write("src/core/bad.cpp", "int* p = new int[4];\n")

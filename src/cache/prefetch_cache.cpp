@@ -93,16 +93,6 @@ std::optional<BlockId> PrefetchCache::oldest_any() const {
   return slots_[slot].block;
 }
 
-void PrefetchCache::reprice(BlockId block, double eject_cost) {
-  const auto it = map_.find(block);
-  PFP_REQUIRE(it != map_.end());
-  const std::uint32_t slot = it->second;
-  slots_[slot].eject_cost = eject_cost;
-  slot_generation_[slot] = ++generation_;
-  heap_.push(HeapItem{eject_cost, slot, slot_generation_[slot]});
-  PFP_AUDIT_SWEEP(*this);
-}
-
 std::vector<PrefetchEntry> PrefetchCache::entries() const {
   std::vector<PrefetchEntry> out;
   out.reserve(map_.size());

@@ -69,9 +69,6 @@ class PrefetchCache {
   /// Least recently inserted entry of any kind, if any.
   [[nodiscard]] std::optional<BlockId> oldest_any() const;
 
-  /// Updates the stored ejection cost of a resident block.
-  void reprice(BlockId block, double eject_cost);
-
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
   [[nodiscard]] bool empty() const noexcept { return map_.empty(); }
   [[nodiscard]] std::size_t obl_count() const noexcept {

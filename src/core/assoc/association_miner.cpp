@@ -150,7 +150,7 @@ void AssociationMiner::age_row(std::uint32_t slot) {
 }
 
 std::size_t AssociationMiner::predict_into(
-    trace::BlockId block, const AssocPredictLimits& limits,
+    trace::BlockId block, const costben::PredictLimits& limits,
     std::vector<costben::PredictedBlock>& out) const {
   if (limits.max_candidates == 0) {
     return 0;
@@ -164,7 +164,7 @@ std::size_t AssociationMiner::predict_into(
   std::size_t appended = 0;
   for (std::uint32_t i = 0; i < row.size && appended < limits.max_candidates;
        ++i) {
-    if (a[i].support < limits.min_support) {
+    if (a[i].support < config_.min_support) {
       break;  // sorted descending: everything after is weaker
     }
     const double p = static_cast<double>(a[i].support) /

@@ -45,13 +45,6 @@ struct AssocConfig {
   std::uint32_t max_rows = 8192;
   /// Windows a source must close before its row ages by halving.
   std::uint32_t age_threshold = 4096;
-};
-
-/// Cutoffs for predict_into, mirroring tree::EnumeratorLimits.
-struct AssocPredictLimits {
-  std::uint32_t max_depth = 8;
-  double min_probability = 0.002;
-  std::size_t max_candidates = 48;
   /// Windows a pair must co-occur in before it is worth predicting
   /// (MITHRIL's sporadic-noise filter).
   std::uint32_t min_support = 2;
@@ -78,7 +71,7 @@ class AssociationMiner {
   /// Appends up to `limits.max_candidates` predictions for `block`
   /// (strongest association first); returns the number appended.
   std::size_t predict_into(trace::BlockId block,
-                           const AssocPredictLimits& limits,
+                           const costben::PredictLimits& limits,
                            std::vector<costben::PredictedBlock>& out) const;
 
   /// Number of live source rows.

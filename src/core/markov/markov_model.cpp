@@ -134,7 +134,7 @@ void DeltaMarkov::decay_row(std::uint32_t slot) {
 }
 
 std::size_t DeltaMarkov::predict_into(
-    const MarkovPredictLimits& limits,
+    const costben::PredictLimits& limits,
     std::vector<costben::PredictedBlock>& out) const {
   if (!has_prev_delta_ || limits.max_candidates == 0) {
     return 0;
@@ -181,7 +181,7 @@ void DeltaMarkov::next_generation() const {
 }
 
 void DeltaMarkov::walk_chains(
-    std::uint32_t slot, const MarkovPredictLimits& limits,
+    std::uint32_t slot, const costben::PredictLimits& limits,
     std::vector<costben::PredictedBlock>& out) const {
   const Row& row = rows_[slot];
   const Transition* t = row_slice(slot);

@@ -47,24 +47,6 @@ struct MarkovConfig {
   std::uint32_t max_count = 255;
 };
 
-/// Cutoffs for predict_into, mirroring tree::EnumeratorLimits.
-struct MarkovPredictLimits {
-  std::uint32_t max_depth = 8;
-  double min_probability = 0.002;
-  std::size_t max_candidates = 48;
-};
-
-/// The rank of predictions: probability descending, then block
-/// ascending, a strict total order over a predict_into result (its
-/// blocks are distinct).  A function object, so sorts inline it.
-struct RankOrder {
-  bool operator()(const costben::PredictedBlock& a,
-                  const costben::PredictedBlock& b) const noexcept {
-    return a.probability > b.probability ||
-           (a.probability == b.probability && a.block < b.block);
-  }
-};
-
 class DeltaMarkov {
  public:
   /// One successor-delta entry of a row.
@@ -100,11 +82,12 @@ class DeltaMarkov {
   /// successor for the call, so converging chains cost one index probe
   /// per distinct context, and duplicates are dropped through a
   /// generation-stamped table.
-  std::size_t predict_into(const MarkovPredictLimits& limits,
+  std::size_t predict_into(const costben::PredictLimits& limits,
                            std::vector<costben::PredictedBlock>& out) const;
 
-  /// The rank of predictions (see RankOrder).
-  static constexpr RankOrder ranks_before{};
+  /// The rank of predictions (costben::RankOrder; strict over a
+  /// predict_into result, whose blocks are distinct).
+  static constexpr costben::RankOrder ranks_before{};
 
   /// The successor deltas recorded after `context`, most frequent first
   /// (empty when the context has no row); valid until the next observe().
@@ -184,7 +167,7 @@ class DeltaMarkov {
   /// Starts a call: a fresh generation empties both stamped tables.
   void next_generation() const;
   /// Appends every chain entry from the row in `slot` to `out`.
-  void walk_chains(std::uint32_t slot, const MarkovPredictLimits& limits,
+  void walk_chains(std::uint32_t slot, const costben::PredictLimits& limits,
                    std::vector<costben::PredictedBlock>& out) const;
   /// The memoized greedy successor of `context`.
   [[nodiscard]] const StepMemo& successor(std::int64_t context) const;

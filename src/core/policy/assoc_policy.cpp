@@ -6,42 +6,38 @@
 
 namespace pfp::core::policy {
 
-AssocCostBenefit::AssocCostBenefit() : AssocCostBenefit(AssocPolicyConfig{}) {}
-
-AssocCostBenefit::AssocCostBenefit(AssocPolicyConfig config)
-    : config_(config), miner_(config.miner) {}
+AssocCostBenefit::AssocCostBenefit(assoc::AssocConfig miner,
+                                   costben::PredictLimits limits,
+                                   ControllerConfig controller)
+    : limits_(limits), controller_(controller), miner_(miner) {}
 
 void AssocCostBenefit::on_access(BlockId block, AccessOutcome outcome,
                                  Context& ctx) {
   (void)outcome;
   miner_.observe(block);
-  last_block_ = block;
-  has_last_block_ = true;
   ctx.metrics.tree_nodes = miner_.row_count();
   ctx.metrics.tree_bytes = miner_.actual_memory_bytes();
   util::phase_mark(ctx.phases, util::EnginePhase::kPredictorUpdate);
 
   candidates_.clear();
-  miner_.predict_into(block, config_.limits, candidates_);
+  miner_.predict_into(block, limits_, candidates_);
   util::phase_mark(ctx.phases, util::EnginePhase::kEnumeration);
 
   CostBenefitKnobs knobs;
-  knobs.max_depth = config_.limits.max_depth;
-  knobs.max_prefetches_per_period = config_.max_prefetches_per_period;
-  knobs.refetch = config_.refetch;
+  knobs.max_depth = limits_.max_depth;
   // An association surfaces only while its source is the current access;
   // Eq. 1's defer-to-depth-(d-1) alternative never materializes for it.
   knobs.single_offer = true;
   const std::uint32_t issued = run_cost_benefit_loop(
-      std::span<const costben::PredictedBlock>(candidates_), knobs, ctx,
-      order_, dtpf_, [this](Context& c) { reclaim_by_rule(config_.reclaim, c); });
+      std::span<const costben::PredictedBlock>(candidates_), controller_,
+      knobs, ctx, order_, dtpf_);
   ctx.estimators.end_period(issued);
 }
 
 void AssocCostBenefit::reclaim_for_demand(Context& ctx) {
   // Section 6.2: the same cost equations pick the replacement victim for
   // demand fetches (unless an ablation overrides the rule).
-  reclaim_by_rule(config_.reclaim, ctx);
+  reclaim_by_rule(controller_.reclaim, ctx);
 }
 
 std::uint32_t AssocCostBenefit::predictor_state_tag() const {
@@ -54,16 +50,8 @@ void AssocCostBenefit::save_predictor_state(
 }
 
 bool AssocCostBenefit::load_predictor_state(util::ByteReader& in) {
-  miner_ = assoc::AssociationMiner::deserialize(in, config_.miner);
+  miner_ = assoc::AssociationMiner::deserialize(in, miner_.config());
   return true;
-}
-
-std::size_t AssocCostBenefit::predictions_into(
-    std::vector<costben::PredictedBlock>& out) const {
-  if (!has_last_block_) {
-    return 0;
-  }
-  return miner_.predict_into(last_block_, config_.limits, out);
 }
 
 }  // namespace pfp::core::policy

@@ -16,25 +16,17 @@
 #include <vector>
 
 #include "core/assoc/association_miner.hpp"
+#include "core/costben/candidate.hpp"
 #include "core/policy/cost_benefit.hpp"
 #include "core/policy/prefetcher.hpp"
 
 namespace pfp::core::policy {
 
-struct AssocPolicyConfig {
-  assoc::AssocConfig miner;
-  assoc::AssocPredictLimits limits;
-  /// Hard cap on prefetches per access period; a safety net, normally the
-  /// cost-benefit inequality stops the loop first.
-  std::uint32_t max_prefetches_per_period = 16;
-  RefetchDistanceRule refetch = RefetchDistanceRule::kHorizon;
-  ReclaimRule reclaim = ReclaimRule::kCostBased;
-};
-
 class AssocCostBenefit final : public Prefetcher {
  public:
-  AssocCostBenefit();  // default config
-  explicit AssocCostBenefit(AssocPolicyConfig config);
+  explicit AssocCostBenefit(assoc::AssocConfig miner = {},
+                            costben::PredictLimits limits = {},
+                            ControllerConfig controller = {});
 
   [[nodiscard]] std::string name() const override { return "assoc"; }
   void on_access(BlockId block, AccessOutcome outcome,
@@ -44,21 +36,15 @@ class AssocCostBenefit final : public Prefetcher {
   [[nodiscard]] std::uint32_t predictor_state_tag() const override;
   void save_predictor_state(std::vector<std::uint8_t>& out) const override;
   bool load_predictor_state(util::ByteReader& in) override;
-  std::size_t predictions_into(
-      std::vector<costben::PredictedBlock>& out) const override;
 
-  [[nodiscard]] const AssocPolicyConfig& config() const noexcept {
-    return config_;
-  }
   [[nodiscard]] const assoc::AssociationMiner& miner() const noexcept {
     return miner_;
   }
 
  private:
-  AssocPolicyConfig config_;
+  costben::PredictLimits limits_;
+  ControllerConfig controller_;
   assoc::AssociationMiner miner_;
-  BlockId last_block_ = 0;  ///< predictions_into introspects from here
-  bool has_last_block_ = false;
   /// Reused across access periods so the per-access hot path performs no
   /// heap allocation once the buffers reach steady-state size.
   std::vector<costben::PredictedBlock> candidates_;

@@ -86,4 +86,25 @@ void eject_prefetch_block(Context& ctx, BlockId block) {
   do_eject_prefetch(ctx, *entry);
 }
 
+void issue_prefetch(Context& ctx, BlockId block, double p,
+                    std::uint32_t depth, std::uint32_t x, bool obl) {
+  cache::PrefetchEntry entry;
+  entry.block = block;
+  entry.probability = p;
+  entry.depth = depth;
+  entry.eject_cost = costben::cost_eject_prefetch(
+      ctx.timing, ctx.estimators.s(), p, depth, x);
+  entry.obl = obl;
+  entry.issued_period = ctx.period;
+  entry.completion_ms = ctx.disks.submit(block, ctx.now_ms);
+  ctx.cache.admit_prefetch(entry);
+  ++ctx.metrics.prefetches_issued;
+  if (obl) {
+    ++ctx.metrics.obl_prefetches_issued;
+  } else {
+    ++ctx.metrics.tree_prefetches_issued;
+    ctx.metrics.sum_prefetch_probability += p;
+  }
+}
+
 }  // namespace pfp::core::policy

@@ -1,6 +1,8 @@
-// Replacement-victim selection helpers shared by the policies.
+// Buffer admission and replacement-victim selection shared by the
+// policies.
 //
-// Two families:
+// issue_prefetch is the one path by which any policy puts a prefetched
+// block into the cache.  Victim selection comes in two families:
 //  * cost-based (Sections 6/7): price the demand cache's LRU buffer with
 //    Eq. 13 (measured marginal hit rate) and the prefetch cache's
 //    cheapest entry with its stored Eq. 11 cost, and evict the cheaper —
@@ -37,5 +39,14 @@ void evict_demand_first(Context& ctx);
 /// Removes a specific prefetch-cache block (quota enforcement), recording
 /// its fate.
 void eject_prefetch_block(Context& ctx, BlockId block);
+
+/// Issues one prefetch of `block` into a free buffer (the caller made
+/// room): prices its ejection with Eq. 11 at path probability `p`,
+/// distance d_b = `depth` and re-prefetch distance `x`, submits the read
+/// to the disk model, admits the entry and counts it — as a
+/// one-block-lookahead prefetch when `obl`, else as a predicted one
+/// (tree_prefetches_issued and Figure 10's probability sum).
+void issue_prefetch(Context& ctx, BlockId block, double p,
+                    std::uint32_t depth, std::uint32_t x, bool obl);
 
 }  // namespace pfp::core::policy

@@ -91,44 +91,33 @@ void validate_spec(const PolicySpec& spec) {
     throw std::invalid_argument(
         "PolicySpec: children must be at least 1");
   }
-  if (spec.tree.max_prefetches_per_period == 0) {
+  if (spec.controller.max_prefetches_per_period == 0) {
     throw std::invalid_argument(
-        "PolicySpec: tree.max_prefetches_per_period must be at least 1");
+        "PolicySpec: controller.max_prefetches_per_period must be at least "
+        "1");
   }
-  require_fraction(spec.markov.limits.min_probability,
-                   "markov.limits.min_probability");
-  if (spec.markov.model.max_contexts == 0 ||
-      spec.markov.model.row_width == 0) {
+  require_fraction(spec.limits.min_probability, "limits.min_probability");
+  if (spec.markov.max_contexts == 0 || spec.markov.row_width == 0) {
     throw std::invalid_argument(
-        "PolicySpec: markov.model bounds must be at least 1");
+        "PolicySpec: markov bounds must be at least 1");
   }
-  if (spec.markov.model.max_count < 2) {
+  if (spec.markov.max_count < 2) {
     throw std::invalid_argument(
-        "PolicySpec: markov.model.max_count must be at least 2");
+        "PolicySpec: markov.max_count must be at least 2");
   }
-  if (spec.markov.max_prefetches_per_period == 0) {
+  if (spec.assoc.lookahead == 0 ||
+      spec.assoc.window <= spec.assoc.lookahead) {
     throw std::invalid_argument(
-        "PolicySpec: markov.max_prefetches_per_period must be at least 1");
+        "PolicySpec: assoc.window must exceed assoc.lookahead (both at "
+        "least 1)");
   }
-  require_fraction(spec.assoc.limits.min_probability,
-                   "assoc.limits.min_probability");
-  if (spec.assoc.miner.lookahead == 0 ||
-      spec.assoc.miner.window <= spec.assoc.miner.lookahead) {
+  if (spec.assoc.row_width == 0 || spec.assoc.max_rows == 0) {
     throw std::invalid_argument(
-        "PolicySpec: assoc.miner.window must exceed assoc.miner.lookahead "
-        "(both at least 1)");
+        "PolicySpec: assoc bounds must be at least 1");
   }
-  if (spec.assoc.miner.row_width == 0 || spec.assoc.miner.max_rows == 0) {
+  if (spec.assoc.age_threshold < 2) {
     throw std::invalid_argument(
-        "PolicySpec: assoc.miner bounds must be at least 1");
-  }
-  if (spec.assoc.miner.age_threshold < 2) {
-    throw std::invalid_argument(
-        "PolicySpec: assoc.miner.age_threshold must be at least 2");
-  }
-  if (spec.assoc.max_prefetches_per_period == 0) {
-    throw std::invalid_argument(
-        "PolicySpec: assoc.max_prefetches_per_period must be at least 1");
+        "PolicySpec: assoc.age_threshold must be at least 2");
   }
 }
 
@@ -141,25 +130,31 @@ std::unique_ptr<Prefetcher> make_prefetcher(const PolicySpec& spec) {
     case PolicyKind::kNextLimit:
       return std::make_unique<NextLimit>(spec.obl_quota);
     case PolicyKind::kTree:
-      return std::make_unique<TreeCostBenefit>(spec.tree);
+      return std::make_unique<TreeCostBenefit>(spec.tree, spec.limits,
+                                               spec.controller);
     case PolicyKind::kTreeNextLimit:
-      return std::make_unique<TreeNextLimit>(spec.tree, spec.obl_quota);
+      return std::make_unique<TreeNextLimit>(spec.tree, spec.limits,
+                                             spec.controller, spec.obl_quota);
     case PolicyKind::kTreeLvc:
-      return std::make_unique<TreeLvc>(spec.tree);
+      return std::make_unique<TreeLvc>(spec.tree, spec.limits,
+                                       spec.controller);
     case PolicyKind::kPerfectSelector:
-      return std::make_unique<PerfectSelector>(spec.tree.tree);
+      return std::make_unique<PerfectSelector>(spec.tree);
     case PolicyKind::kTreeThreshold:
-      return std::make_unique<TreeThreshold>(spec.threshold, spec.tree.tree);
+      return std::make_unique<TreeThreshold>(spec.threshold, spec.tree);
     case PolicyKind::kTreeChildren:
-      return std::make_unique<TreeChildren>(spec.children, spec.tree.tree);
+      return std::make_unique<TreeChildren>(spec.children, spec.tree);
     case PolicyKind::kProbGraph:
       return std::make_unique<ProbGraph>(spec.graph);
     case PolicyKind::kTreeAdaptive:
-      return std::make_unique<TreeAdaptive>(spec.tree, spec.adaptive);
+      return std::make_unique<TreeAdaptive>(spec.tree, spec.limits,
+                                            spec.controller, spec.adaptive);
     case PolicyKind::kMarkov:
-      return std::make_unique<MarkovCostBenefit>(spec.markov);
+      return std::make_unique<MarkovCostBenefit>(spec.markov, spec.limits,
+                                                 spec.controller);
     case PolicyKind::kAssoc:
-      return std::make_unique<AssocCostBenefit>(spec.assoc);
+      return std::make_unique<AssocCostBenefit>(spec.assoc, spec.limits,
+                                                spec.controller);
   }
   throw std::invalid_argument("unknown policy kind");
 }

@@ -33,16 +33,21 @@ enum class PolicyKind {
   kAssoc,   ///< association miner under the cost-benefit controller
 };
 
+/// Every field is read by the kinds its comment names; the limits and the
+/// controller settings are shared by every cost-benefit family (tree,
+/// tree-next-limit, tree-lvc, tree-adaptive, markov, assoc).
 struct PolicySpec {
   PolicyKind kind = PolicyKind::kNoPrefetch;
-  TreePolicyConfig tree;          ///< tree/cost-benefit parameters
-  double obl_quota = 0.10;        ///< next-limit cache fraction
-  double threshold = 0.05;        ///< tree-threshold parameter
-  std::uint32_t children = 3;     ///< tree-children parameter
-  ProbGraphConfig graph;          ///< prob-graph parameters
-  AdaptiveConfig adaptive;        ///< tree-adaptive parameters
-  MarkovPolicyConfig markov;      ///< markov parameters
-  AssocPolicyConfig assoc;        ///< assoc parameters
+  tree::TreeConfig tree;           ///< LZ tree bounds (every tree kind)
+  costben::PredictLimits limits;   ///< candidate cut-offs (cost-benefit)
+  ControllerConfig controller;     ///< controller settings (cost-benefit)
+  double obl_quota = 0.10;         ///< next-limit cache fraction
+  double threshold = 0.05;         ///< tree-threshold parameter
+  std::uint32_t children = 3;      ///< tree-children parameter
+  ProbGraphConfig graph;           ///< prob-graph parameters
+  AdaptiveConfig adaptive;         ///< tree-adaptive parameters
+  markov::MarkovConfig markov;     ///< markov chain bounds
+  assoc::AssocConfig assoc;        ///< association miner bounds
 };
 
 /// The four headline schemes of Section 9.1, in paper order.

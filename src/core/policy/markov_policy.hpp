@@ -14,26 +14,18 @@
 #include <string>
 #include <vector>
 
+#include "core/costben/candidate.hpp"
 #include "core/markov/markov_model.hpp"
 #include "core/policy/cost_benefit.hpp"
 #include "core/policy/prefetcher.hpp"
 
 namespace pfp::core::policy {
 
-struct MarkovPolicyConfig {
-  markov::MarkovConfig model;
-  markov::MarkovPredictLimits limits;
-  /// Hard cap on prefetches per access period; a safety net, normally the
-  /// cost-benefit inequality stops the loop first.
-  std::uint32_t max_prefetches_per_period = 16;
-  RefetchDistanceRule refetch = RefetchDistanceRule::kHorizon;
-  ReclaimRule reclaim = ReclaimRule::kCostBased;
-};
-
 class MarkovCostBenefit final : public Prefetcher {
  public:
-  MarkovCostBenefit();  // default config
-  explicit MarkovCostBenefit(MarkovPolicyConfig config);
+  explicit MarkovCostBenefit(markov::MarkovConfig model = {},
+                             costben::PredictLimits limits = {},
+                             ControllerConfig controller = {});
 
   [[nodiscard]] std::string name() const override { return "markov"; }
   void on_access(BlockId block, AccessOutcome outcome,
@@ -43,18 +35,14 @@ class MarkovCostBenefit final : public Prefetcher {
   [[nodiscard]] std::uint32_t predictor_state_tag() const override;
   void save_predictor_state(std::vector<std::uint8_t>& out) const override;
   bool load_predictor_state(util::ByteReader& in) override;
-  std::size_t predictions_into(
-      std::vector<costben::PredictedBlock>& out) const override;
 
-  [[nodiscard]] const MarkovPolicyConfig& config() const noexcept {
-    return config_;
-  }
   [[nodiscard]] const markov::DeltaMarkov& model() const noexcept {
     return model_;
   }
 
  private:
-  MarkovPolicyConfig config_;
+  costben::PredictLimits limits_;
+  ControllerConfig controller_;
   markov::DeltaMarkov model_;
   /// Reused across access periods so the per-access hot path performs no
   /// heap allocation once the buffers reach steady-state size.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/costben/equations.hpp"
 #include "core/policy/eviction.hpp"
 #include "util/assert.hpp"
 
@@ -33,22 +32,10 @@ bool SequentialLookahead::maybe_prefetch_next(BlockId block, Context& ctx) {
     // of the demand cache (that is what the 10 % cap is for).
     evict_demand_first(ctx);
   }
-  const double p = ctx.estimators.obl_h();
-  cache::PrefetchEntry entry;
-  entry.block = target;
-  entry.probability = p;
-  entry.depth = 1;
   // Eq. 11 with d_b = 1, x = 0: losing the block costs a full demand
   // re-fetch weighted by the odds it would actually be used.
-  entry.eject_cost =
-      costben::cost_eject_prefetch(ctx.timing, ctx.estimators.s(), p,
-                                   /*d_b=*/1, /*x=*/0);
-  entry.obl = true;
-  entry.issued_period = ctx.period;
-  entry.completion_ms = ctx.disks.submit(target, ctx.now_ms);
-  ctx.cache.admit_prefetch(entry);
-  ++ctx.metrics.prefetches_issued;
-  ++ctx.metrics.obl_prefetches_issued;
+  issue_prefetch(ctx, target, ctx.estimators.obl_h(), /*depth=*/1, /*x=*/0,
+                 /*obl=*/true);
   return true;
 }
 

@@ -1,6 +1,5 @@
 #include "core/policy/perfect_selector.hpp"
 
-#include "core/costben/equations.hpp"
 #include "core/policy/eviction.hpp"
 
 namespace pfp::core::policy {
@@ -29,20 +28,8 @@ void PerfectSelector::on_access(BlockId block, AccessOutcome outcome,
           // before touching the demand cache.
           evict_prefetch_first(ctx);
         }
-        const double p = tree_.edge_probability(current, child);
-        cache::PrefetchEntry entry;
-        entry.block = next;
-        entry.probability = p;
-        entry.depth = 1;
-        entry.eject_cost = costben::cost_eject_prefetch(
-            ctx.timing, ctx.estimators.s(), p, /*d_b=*/1, /*x=*/0);
-        entry.obl = false;
-        entry.issued_period = ctx.period;
-        entry.completion_ms = ctx.disks.submit(next, ctx.now_ms);
-        ctx.cache.admit_prefetch(entry);
-        ++ctx.metrics.prefetches_issued;
-        ++ctx.metrics.tree_prefetches_issued;
-        ctx.metrics.sum_prefetch_probability += p;
+        issue_prefetch(ctx, next, tree_.edge_probability(current, child),
+                       /*depth=*/1, /*x=*/0, /*obl=*/false);
         ++issued;
       }
     }

@@ -39,9 +39,4 @@ bool Prefetcher::load_predictor_state(util::ByteReader& /*in*/) {
   return false;
 }
 
-std::size_t Prefetcher::predictions_into(
-    std::vector<costben::PredictedBlock>& /*out*/) const {
-  return 0;
-}
-
 }  // namespace pfp::core::policy

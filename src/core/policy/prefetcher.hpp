@@ -9,19 +9,15 @@
 //
 // Predictor state is generic: a policy that learns exposes its durable
 // predictor through an opaque, versioned, self-describing byte stream
-// (save/load) plus a family tag, and enumerates its current predictions
-// into caller storage in the controller's candidate vocabulary
-// (costben::PredictedBlock).  The engine's snapshot layer and any
-// introspection tool see every predictor family — LZ tree, delta-Markov
-// chain, association miner — through this one surface; no predictor type
-// leaks into the interface.
+// (save/load) plus a family tag.  The engine's snapshot layer sees every
+// predictor family — LZ tree, delta-Markov chain, association miner —
+// through this one surface; no predictor type leaks into the interface.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/costben/candidate.hpp"
 #include "core/policy/context.hpp"
 #include "util/binary_io.hpp"
 
@@ -96,15 +92,6 @@ class Prefetcher {
   /// std::runtime_error on malformed input; returns false when the policy
   /// keeps no predictor state to restore into.
   virtual bool load_predictor_state(util::ByteReader& in);
-
-  /// Appends the predictor's current candidates — what it would consider
-  /// prefetching right now — to `out` in the controller's generic
-  /// vocabulary, most probable first.  Caller owns (and clears) the
-  /// storage; returns the number of candidates appended.  Stateless
-  /// policies append nothing.  Introspection only: never on the per-access
-  /// hot path.
-  virtual std::size_t predictions_into(
-      std::vector<costben::PredictedBlock>& out) const;
 };
 
 }  // namespace pfp::core::policy

@@ -6,11 +6,11 @@
 
 namespace pfp::core::policy {
 
-TreeAdaptive::TreeAdaptive() : TreeAdaptive(TreePolicyConfig{}, {}) {}
-
-TreeAdaptive::TreeAdaptive(TreePolicyConfig tree_config,
+TreeAdaptive::TreeAdaptive(tree::TreeConfig tree,
+                           costben::PredictLimits limits,
+                           ControllerConfig controller,
                            AdaptiveConfig adaptive)
-    : TreeCostBenefit(tree_config),
+    : TreeCostBenefit(tree, limits, controller),
       adaptive_(adaptive),
       floor_(adaptive.initial_floor) {
   PFP_REQUIRE(adaptive_.min_floor > 0.0);

@@ -25,8 +25,10 @@ struct AdaptiveConfig {
 
 class TreeAdaptive final : public TreeCostBenefit {
  public:
-  TreeAdaptive();  // default configs
-  TreeAdaptive(TreePolicyConfig tree_config, AdaptiveConfig adaptive);
+  explicit TreeAdaptive(tree::TreeConfig tree = {},
+                        costben::PredictLimits limits = {},
+                        ControllerConfig controller = {},
+                        AdaptiveConfig adaptive = {});
 
   [[nodiscard]] std::string name() const override { return "tree-adaptive"; }
   void on_access(BlockId block, AccessOutcome outcome,

@@ -25,25 +25,6 @@ bool TreeInstrumentedPrefetcher::load_predictor_state(util::ByteReader& in) {
   return true;
 }
 
-tree::EnumeratorLimits TreeInstrumentedPrefetcher::prediction_limits()
-    const {
-  return tree::EnumeratorLimits{};
-}
-
-std::size_t TreeInstrumentedPrefetcher::predictions_into(
-    std::vector<costben::PredictedBlock>& out) const {
-  // Introspection path, not the per-access loop: a one-shot fresh
-  // enumeration keeps this const and cache-neutral.
-  const std::vector<tree::Candidate> candidates =
-      tree::enumerate_candidates(tree_, tree_.current(), prediction_limits());
-  out.reserve(out.size() + candidates.size());
-  for (const tree::Candidate& c : candidates) {
-    out.push_back(costben::PredictedBlock{c.block, c.probability,
-                                          c.parent_probability, c.depth});
-  }
-  return candidates.size();
-}
-
 tree::AccessInfo TreeInstrumentedPrefetcher::observe_access(
     BlockId block, AccessOutcome outcome, Context& ctx) {
   const tree::AccessInfo info = tree_.access(block);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include "core/policy/prefetcher.hpp"
-#include "core/tree/enumerator.hpp"
 #include "core/tree/prefetch_tree.hpp"
 
 namespace pfp::core::policy {
@@ -25,14 +24,8 @@ class TreeInstrumentedPrefetcher : public Prefetcher {
   [[nodiscard]] std::uint32_t predictor_state_tag() const override;
   void save_predictor_state(std::vector<std::uint8_t>& out) const override;
   bool load_predictor_state(util::ByteReader& in) override;
-  std::size_t predictions_into(
-      std::vector<costben::PredictedBlock>& out) const override;
 
  protected:
-  /// Enumeration limits predictions_into() applies; cost-benefit policies
-  /// override this with their configured limits so introspection sees the
-  /// same candidate set the controller prices.
-  [[nodiscard]] virtual tree::EnumeratorLimits prediction_limits() const;
   /// Feeds the reference through the parse and updates the shared tree
   /// metrics.  Call exactly once per on_access.
   tree::AccessInfo observe_access(BlockId block, AccessOutcome outcome,

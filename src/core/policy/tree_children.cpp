@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/costben/equations.hpp"
 #include "core/policy/eviction.hpp"
 #include "util/assert.hpp"
 
@@ -41,20 +40,8 @@ void TreeChildren::on_access(BlockId block, AccessOutcome outcome,
     if (ctx.cache.free_buffers() == 0) {
       evict_prefetch_first(ctx);
     }
-    const double p = tree_.edge_probability(current, child);
-    cache::PrefetchEntry entry;
-    entry.block = target;
-    entry.probability = p;
-    entry.depth = 1;
-    entry.eject_cost = costben::cost_eject_prefetch(
-        ctx.timing, ctx.estimators.s(), p, /*d_b=*/1, /*x=*/0);
-    entry.obl = false;
-    entry.issued_period = ctx.period;
-    entry.completion_ms = ctx.disks.submit(target, ctx.now_ms);
-    ctx.cache.admit_prefetch(entry);
-    ++ctx.metrics.prefetches_issued;
-    ++ctx.metrics.tree_prefetches_issued;
-    ctx.metrics.sum_prefetch_probability += p;
+    issue_prefetch(ctx, target, tree_.edge_probability(current, child),
+                   /*depth=*/1, /*x=*/0, /*obl=*/false);
     ++issued;
   }
   ctx.estimators.end_period(issued);

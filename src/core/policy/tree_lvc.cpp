@@ -1,13 +1,13 @@
 #include "core/policy/tree_lvc.hpp"
 
-#include "core/costben/equations.hpp"
+#include "core/costben/candidate.hpp"
 #include "core/policy/eviction.hpp"
 
 namespace pfp::core::policy {
 
-TreeLvc::TreeLvc() : TreeLvc(TreePolicyConfig{}) {}
-
-TreeLvc::TreeLvc(TreePolicyConfig config) : TreeCostBenefit(config) {}
+TreeLvc::TreeLvc(tree::TreeConfig tree, costben::PredictLimits limits,
+                 ControllerConfig controller)
+    : TreeCostBenefit(tree, limits, controller) {}
 
 void TreeLvc::on_access(BlockId block, AccessOutcome outcome, Context& ctx) {
   observe_access(block, outcome, ctx);
@@ -23,13 +23,11 @@ void TreeLvc::on_access(BlockId block, AccessOutcome outcome, Context& ctx) {
       if (ctx.cache.free_buffers() == 0) {
         evict_cheapest(ctx);
       }
-      tree::Candidate candidate;
-      candidate.block = target;
-      candidate.probability = tree_.edge_probability(current, lvc);
-      candidate.parent_probability = 1.0;
-      candidate.depth = 1;
-      candidate.node = lvc;
-      admit_predicted_prefetch(ctx, candidate, config_.refetch);
+      admit_predicted_prefetch(
+          ctx,
+          costben::PredictedBlock{target, tree_.edge_probability(current, lvc),
+                                  /*parent_probability=*/1.0, /*depth=*/1},
+          controller_.refetch);
       ++issued;
     }
   }

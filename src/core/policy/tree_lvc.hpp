@@ -12,8 +12,9 @@ namespace pfp::core::policy {
 
 class TreeLvc final : public TreeCostBenefit {
  public:
-  TreeLvc();  // default config
-  explicit TreeLvc(TreePolicyConfig config);
+  explicit TreeLvc(tree::TreeConfig tree = {},
+                   costben::PredictLimits limits = {},
+                   ControllerConfig controller = {});
 
   [[nodiscard]] std::string name() const override { return "tree-lvc"; }
   void on_access(BlockId block, AccessOutcome outcome,

@@ -2,11 +2,11 @@
 
 namespace pfp::core::policy {
 
-TreeNextLimit::TreeNextLimit()
-    : TreeNextLimit(TreePolicyConfig{}, /*quota_fraction=*/0.10) {}
-
-TreeNextLimit::TreeNextLimit(TreePolicyConfig config, double quota_fraction)
-    : TreeCostBenefit(config), lookahead_(quota_fraction) {}
+TreeNextLimit::TreeNextLimit(tree::TreeConfig tree,
+                             costben::PredictLimits limits,
+                             ControllerConfig controller,
+                             double quota_fraction)
+    : TreeCostBenefit(tree, limits, controller), lookahead_(quota_fraction) {}
 
 void TreeNextLimit::on_access(BlockId block, AccessOutcome outcome,
                               Context& ctx) {

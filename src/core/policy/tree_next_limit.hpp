@@ -14,8 +14,11 @@ namespace pfp::core::policy {
 
 class TreeNextLimit final : public TreeCostBenefit {
  public:
-  TreeNextLimit();  // default config, 10 % OBL quota
-  TreeNextLimit(TreePolicyConfig config, double quota_fraction);
+  /// Defaults: the controller's defaults and a 10 % OBL quota.
+  explicit TreeNextLimit(tree::TreeConfig tree = {},
+                         costben::PredictLimits limits = {},
+                         ControllerConfig controller = {},
+                         double quota_fraction = 0.10);
 
   [[nodiscard]] std::string name() const override { return "tree-next-limit"; }
   void on_access(BlockId block, AccessOutcome outcome,

@@ -2,10 +2,12 @@
 
 namespace pfp::core::policy {
 
-TreeCostBenefit::TreeCostBenefit() : TreeCostBenefit(TreePolicyConfig{}) {}
-
-TreeCostBenefit::TreeCostBenefit(TreePolicyConfig config)
-    : TreeInstrumentedPrefetcher(config.tree), config_(config) {}
+TreeCostBenefit::TreeCostBenefit(tree::TreeConfig tree,
+                                 costben::PredictLimits limits,
+                                 ControllerConfig controller)
+    : TreeInstrumentedPrefetcher(tree),
+      limits_(limits),
+      controller_(controller) {}
 
 void TreeCostBenefit::on_access(BlockId block, AccessOutcome outcome,
                                 Context& ctx) {
@@ -14,27 +16,21 @@ void TreeCostBenefit::on_access(BlockId block, AccessOutcome outcome,
   ctx.estimators.end_period(issued);
 }
 
-void TreeCostBenefit::reclaim_one(Context& ctx) {
-  reclaim_by_rule(config_.reclaim, ctx);
-}
-
 void TreeCostBenefit::reclaim_for_demand(Context& ctx) {
   // Section 6.2: the same cost equations pick the replacement victim for
   // demand fetches (unless an ablation overrides the rule).
-  reclaim_one(ctx);
+  reclaim_by_rule(controller_.reclaim, ctx);
 }
 
 std::uint32_t TreeCostBenefit::run_cost_benefit(Context& ctx) {
   const auto candidates =
-      enumerator_.enumerate(tree_, tree_.current(), config_.limits);
+      enumerator_.enumerate(tree_, tree_.current(), limits_);
   util::phase_mark(ctx.phases, util::EnginePhase::kEnumeration);
   CostBenefitKnobs knobs;
-  knobs.max_depth = config_.limits.max_depth;
-  knobs.max_prefetches_per_period = config_.max_prefetches_per_period;
+  knobs.max_depth = limits_.max_depth;
   knobs.probability_floor = probability_floor();
-  knobs.refetch = config_.refetch;
-  return run_cost_benefit_loop(candidates, knobs, ctx, order_, dtpf_,
-                               [this](Context& c) { reclaim_one(c); });
+  return run_cost_benefit_loop(candidates, controller_, knobs, ctx, order_,
+                               dtpf_);
 }
 
 }  // namespace pfp::core::policy

@@ -1,6 +1,5 @@
 #include "core/policy/tree_threshold.hpp"
 
-#include "core/costben/equations.hpp"
 #include "core/policy/eviction.hpp"
 #include "util/assert.hpp"
 #include "util/string_utils.hpp"
@@ -35,19 +34,7 @@ void TreeThreshold::on_access(BlockId block, AccessOutcome outcome,
     if (ctx.cache.free_buffers() == 0) {
       evict_prefetch_first(ctx);
     }
-    cache::PrefetchEntry entry;
-    entry.block = target;
-    entry.probability = p;
-    entry.depth = 1;
-    entry.eject_cost = costben::cost_eject_prefetch(
-        ctx.timing, ctx.estimators.s(), p, /*d_b=*/1, /*x=*/0);
-    entry.obl = false;
-    entry.issued_period = ctx.period;
-    entry.completion_ms = ctx.disks.submit(target, ctx.now_ms);
-    ctx.cache.admit_prefetch(entry);
-    ++ctx.metrics.prefetches_issued;
-    ++ctx.metrics.tree_prefetches_issued;
-    ctx.metrics.sum_prefetch_probability += p;
+    issue_prefetch(ctx, target, p, /*depth=*/1, /*x=*/0, /*obl=*/false);
     ++issued;
   }
   ctx.estimators.end_period(issued);

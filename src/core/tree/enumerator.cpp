@@ -44,8 +44,9 @@ bool CandidateEnumerator::seen_insert(BlockId block) {
   }
 }
 
-std::span<const Candidate> CandidateEnumerator::enumerate(
-    const PrefetchTree& tree, NodeId from, const EnumeratorLimits& limits) {
+std::span<const costben::PredictedBlock> CandidateEnumerator::enumerate(
+    const PrefetchTree& tree, NodeId from,
+    const costben::PredictLimits& limits) {
   out_.clear();
   if (tree.weight(from) == 0) {
     return {};  // empty tree: no statistics yet
@@ -121,22 +122,22 @@ std::span<const Candidate> CandidateEnumerator::enumerate(
     // A block can be a descendant along several paths; heap order makes
     // the first occurrence the most probable one.
     if (seen_insert(node.block)) {
-      out_.push_back(Candidate{node.block, item.probability,
-                               item.parent_probability, item.depth,
-                               item.node});
+      out_.push_back(costben::PredictedBlock{node.block, item.probability,
+                                             item.parent_probability,
+                                             item.depth});
     }
     push_children(item.node, item.probability, item.depth);
   }
   return {out_.data(), out_.size()};
 }
 
-std::vector<Candidate> enumerate_candidates(const PrefetchTree& tree,
-                                            NodeId from,
-                                            const EnumeratorLimits& limits) {
+std::vector<costben::PredictedBlock> enumerate_candidates(
+    const PrefetchTree& tree, NodeId from,
+    const costben::PredictLimits& limits) {
   // One scratch enumerator per thread keeps the walk's frontier, dedup
   // and output buffers warm across one-shot calls.
   thread_local CandidateEnumerator scratch;
-  const std::span<const Candidate> candidates =
+  const std::span<const costben::PredictedBlock> candidates =
       scratch.enumerate(tree, from, limits);
   return {candidates.begin(), candidates.end()};
 }

@@ -12,6 +12,9 @@
 // probability-ordered frontier yields the globally most probable
 // descendants first and the cut-offs are exact, not heuristic.
 //
+// Candidates are costben::PredictedBlock, the controller's vocabulary,
+// so the controller prices the enumerator's output span in place.
+//
 // Enumeration runs once per access period from the parse position, so
 // CandidateEnumerator owns its frontier heap, output buffer and dedup
 // scratch and reuses them across calls — the hot path allocates nothing
@@ -26,35 +29,24 @@
 #include <span>
 #include <vector>
 
+#include "core/costben/candidate.hpp"
 #include "core/tree/prefetch_tree.hpp"
 
 namespace pfp::core::tree {
-
-struct Candidate {
-  BlockId block = 0;
-  double probability = 0.0;         ///< p_b: path probability from current
-  double parent_probability = 1.0;  ///< p_x: path probability of parent
-  std::uint32_t depth = 1;          ///< d_b: edges from current node
-  NodeId node = kNoNode;            ///< tree node (introspection)
-};
-
-struct EnumeratorLimits {
-  std::uint32_t max_depth = 8;      ///< deepest descendant considered
-  double min_probability = 0.002;   ///< prune paths below this p_b
-  std::size_t max_candidates = 48;  ///< cap on emitted candidates
-};
 
 /// Reusable best-first enumerator.  One instance per policy; not
 /// thread-safe (each simulation owns its policies, so no sharing occurs).
 class CandidateEnumerator {
  public:
-  /// Descendants of `from`, most probable first.  Duplicate blocks (same
-  /// block reachable along several paths) keep only their most probable
-  /// occurrence.  The root's weight-0 state (empty tree) yields nothing.
-  /// The returned span aliases internal storage and is invalidated by the
-  /// next enumerate() call.
-  std::span<const Candidate> enumerate(const PrefetchTree& tree, NodeId from,
-                                       const EnumeratorLimits& limits);
+  /// Descendants of `from`, most probable first: p_b is the path
+  /// probability from `from`, p_x its parent's, d_b the edge count.
+  /// Duplicate blocks (same block reachable along several paths) keep
+  /// only their most probable occurrence.  The root's weight-0 state
+  /// (empty tree) yields nothing.  The returned span aliases internal
+  /// storage and is invalidated by the next enumerate() call.
+  std::span<const costben::PredictedBlock> enumerate(
+      const PrefetchTree& tree, NodeId from,
+      const costben::PredictLimits& limits);
 
  private:
   struct FrontierItem {
@@ -80,13 +72,13 @@ class CandidateEnumerator {
   std::vector<FrontierItem> frontier_;  ///< binary max-heap (std::push_heap)
   std::vector<SeenSlot> seen_;          ///< power-of-two dedup table
   std::uint32_t seen_generation_ = 0;
-  std::vector<Candidate> out_;  ///< reused output buffer
+  std::vector<costben::PredictedBlock> out_;  ///< reused output buffer
 };
 
 /// One-shot wrapper around CandidateEnumerator with identical results;
 /// prefer a reused enumerator on hot paths.
-std::vector<Candidate> enumerate_candidates(const PrefetchTree& tree,
-                                            NodeId from,
-                                            const EnumeratorLimits& limits);
+std::vector<costben::PredictedBlock> enumerate_candidates(
+    const PrefetchTree& tree, NodeId from,
+    const costben::PredictLimits& limits);
 
 }  // namespace pfp::core::tree

@@ -188,6 +188,15 @@ void Session::handle_tenant_open(const wire::Frame& frame) {
                 "malformed TENANT_OPEN payload");
     return;
   }
+  const std::uint64_t shards = std::max<std::uint64_t>(request->shards, 1);
+  if (request->cache_blocks > kMaxTenantCacheBlocks / shards) {
+    reply_error(frame.header, wire::ErrorCode::kBadConfig,
+                "cache_blocks " + std::to_string(request->cache_blocks) +
+                    " x " + std::to_string(shards) +
+                    " shard(s) exceeds the per-tenant limit of " +
+                    std::to_string(kMaxTenantCacheBlocks) + " blocks");
+    return;
+  }
   engine::TenantConfig config;
   config.name = request->name;
   config.engine = config_.base_engine;

@@ -32,6 +32,14 @@
 
 namespace pfp::server {
 
+/// Largest buffer pool one TENANT_OPEN may ask for, summed over its
+/// shards (cache_blocks * max(shards, 1)).  The wire carries a u64, and
+/// the engine allocates the whole pool at open, so an unchecked request
+/// is a one-frame way to exhaust the server's memory.  Far above what
+/// any real tenant here uses (servebench and load_gen open 1024-block
+/// tenants).
+inline constexpr std::uint64_t kMaxTenantCacheBlocks = std::uint64_t{1} << 20;
+
 struct SessionConfig {
   /// Hard per-frame batch bound: an ACCESS_MANY with more blocks is
   /// rejected with kBackpressure (split and retry).  Deterministic by

@@ -119,7 +119,9 @@ TEST_F(AuditDetection, CleanPrefetchCachePasses) {
   cache.insert(entry_for(1));
   cache.insert(entry_for(2, /*obl=*/true));
   cache.insert(entry_for(3));
-  cache.reprice(3, 0.25);
+  // Re-admitting block 3 leaves its first heap item stale behind it.
+  (void)cache.remove(3);
+  cache.insert(entry_for(3));
   (void)cache.remove(1);
   EXPECT_NO_THROW(cache.audit());
 }

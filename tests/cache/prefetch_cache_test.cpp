@@ -61,15 +61,6 @@ TEST(PrefetchCache, CheapestEmptyIsNullopt) {
   EXPECT_FALSE(c.cheapest().has_value());
 }
 
-TEST(PrefetchCache, RepriceChangesVictimOrder) {
-  PrefetchCache c(4);
-  c.insert(entry(1, 0.1));
-  c.insert(entry(2, 0.5));
-  c.reprice(1, 0.9);
-  EXPECT_EQ(c.cheapest()->block, 2u);
-  EXPECT_DOUBLE_EQ(c.lookup(1)->eject_cost, 0.9);
-}
-
 TEST(PrefetchCache, OldestOblTracksInsertionOrder) {
   PrefetchCache c(8);
   c.insert(entry(1, 0.1, /*obl=*/true));

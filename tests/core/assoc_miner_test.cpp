@@ -22,16 +22,17 @@ AssociationMiner load(std::span<const std::uint8_t> image,
 
 std::vector<PredictedBlock> predict(const AssociationMiner& miner,
                                     trace::BlockId block,
-                                    AssocPredictLimits limits = {}) {
+                                    costben::PredictLimits limits = {}) {
   std::vector<PredictedBlock> out;
   miner.predict_into(block, limits, out);
   return out;
 }
 
-AssocConfig small_config() {
+AssocConfig small_config(std::uint32_t min_support = 2) {
   AssocConfig config;
   config.window = 16;
   config.lookahead = 4;
+  config.min_support = min_support;
   return config;
 }
 
@@ -52,9 +53,7 @@ TEST(AssociationMiner, MinesForwardCoOccurrence) {
   for (const trace::BlockId b : seq) {
     miner.observe(b);
   }
-  AssocPredictLimits limits;
-  limits.min_support = 2;
-  const auto out = predict(miner, 100, limits);
+  const auto out = predict(miner, 100);  // min_support 2
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out[0].block, 200u);
   EXPECT_DOUBLE_EQ(out[0].probability, 1.0);  // in every closed window
@@ -75,8 +74,7 @@ TEST(AssociationMiner, SurvivesInterleavedTraffic) {
     miner.observe(noise++);
     miner.observe(noise++);
   }
-  AssocPredictLimits limits;
-  limits.min_support = 2;
+  costben::PredictLimits limits;
   limits.min_probability = 0.5;
   const auto out = predict(miner, 100, limits);
   ASSERT_FALSE(out.empty());
@@ -87,24 +85,22 @@ TEST(AssociationMiner, SurvivesInterleavedTraffic) {
 }
 
 TEST(AssociationMiner, MinSupportFiltersSporadicNoise) {
-  AssociationMiner miner(small_config());
+  AssociationMiner strict(small_config(/*min_support=*/2));
+  AssociationMiner lax(small_config(/*min_support=*/1));
   // (100 -> 200) co-occurs three times; (100 -> 300) only once.
   const trace::BlockId seq[] = {100, 200, 1,   100, 200, 2,
                                 100, 200, 300, 3,   4,   5, 6, 7};
   for (const trace::BlockId b : seq) {
-    miner.observe(b);
+    strict.observe(b);
+    lax.observe(b);
   }
-  AssocPredictLimits strict;
-  strict.min_support = 2;
-  strict.min_probability = 0.0;
-  const auto out = predict(miner, 100, strict);
+  costben::PredictLimits limits;
+  limits.min_probability = 0.0;
+  const auto out = predict(strict, 100, limits);
   for (const PredictedBlock& c : out) {
     EXPECT_NE(c.block, 300u);
   }
-  AssocPredictLimits lax;
-  lax.min_support = 1;
-  lax.min_probability = 0.0;
-  const auto all = predict(miner, 100, lax);
+  const auto all = predict(lax, 100, limits);
   bool saw_300 = false;
   for (const PredictedBlock& c : all) {
     saw_300 = saw_300 || c.block == 300u;
@@ -113,7 +109,7 @@ TEST(AssociationMiner, MinSupportFiltersSporadicNoise) {
 }
 
 TEST(AssociationMiner, CountsADistinctPartnerOncePerWindow) {
-  AssociationMiner miner(small_config());
+  AssociationMiner miner(small_config(/*min_support=*/1));
   // 200 appears twice inside 100's forward window: support must rise by
   // one per window, keeping probability a frequency (<= 1).
   for (int rep = 0; rep < 5; ++rep) {
@@ -123,8 +119,7 @@ TEST(AssociationMiner, CountsADistinctPartnerOncePerWindow) {
     miner.observe(300 + static_cast<trace::BlockId>(rep));
     miner.observe(400 + static_cast<trace::BlockId>(rep));
   }
-  AssocPredictLimits limits;
-  limits.min_support = 1;
+  costben::PredictLimits limits;
   limits.min_probability = 0.0;
   const auto out = predict(miner, 100, limits);
   ASSERT_FALSE(out.empty());
@@ -146,7 +141,7 @@ TEST(AssociationMiner, RowCountIsLruBounded) {
 }
 
 TEST(AssociationMiner, AgingHalvesSupportsAndOccurrences) {
-  AssocConfig config = small_config();
+  AssocConfig config = small_config(/*min_support=*/1);
   config.age_threshold = 8;
   AssociationMiner miner(config);
   for (int rep = 0; rep < 50; ++rep) {
@@ -158,9 +153,7 @@ TEST(AssociationMiner, AgingHalvesSupportsAndOccurrences) {
   }
   // Many agings later the association must still predict with full
   // confidence: supports and occurrences halve together.
-  AssocPredictLimits limits;
-  limits.min_support = 1;
-  const auto out = predict(miner, 100, limits);
+  const auto out = predict(miner, 100);
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out[0].block, 200u);
   EXPECT_DOUBLE_EQ(out[0].probability, 1.0);
@@ -176,7 +169,7 @@ TEST(AssociationMiner, MemoryAccountingIsNonTrivial) {
 }
 
 TEST(AssociationMinerSerialize, RoundTripPreservesPredictions) {
-  AssociationMiner miner(small_config());
+  AssociationMiner miner(small_config(/*min_support=*/1));
   const trace::BlockId seq[] = {100, 200, 1, 2, 3, 100, 200, 4,  5,
                                 6,   100, 200, 7, 8, 9,  10, 11, 12};
   for (const trace::BlockId b : seq) {
@@ -190,8 +183,7 @@ TEST(AssociationMinerSerialize, RoundTripPreservesPredictions) {
   EXPECT_EQ(restored.association_count(), miner.association_count());
   restored.audit();
 
-  AssocPredictLimits limits;
-  limits.min_support = 1;
+  costben::PredictLimits limits;
   limits.min_probability = 0.0;
   for (const trace::BlockId source : {100u, 200u, 1u, 7u}) {
     const auto a = predict(miner, source, limits);

@@ -48,11 +48,11 @@ TEST(EnumeratorAllocations, SteadyStateEnumerationIsAllocationFree) {
   // limits that alternate between calls.  Only the enumerations are
   // counted — the parse itself may still grow the tree.
   const trace::Trace t = trace::make_workload(trace::Workload::kCad, 20'000);
-  EnumeratorLimits wide;
+  costben::PredictLimits wide;
   wide.max_depth = 8;
   wide.min_probability = 0.0001;
   wide.max_candidates = 64;
-  EnumeratorLimits narrow = wide;
+  costben::PredictLimits narrow = wide;
   narrow.min_probability = 0.01;  // same max_candidates: one dedup table
 
   PrefetchTree tree;
@@ -83,7 +83,7 @@ TEST(EnumeratorAllocations, SteadyStateEnumerationIsAllocationFree) {
 TEST(MarkovAllocations, SteadyStatePredictionIsAllocationFree) {
   const trace::Trace t = trace::make_workload(trace::Workload::kSnake, 20'000);
   markov::DeltaMarkov model;
-  const markov::MarkovPredictLimits limits;
+  const costben::PredictLimits limits;
   std::vector<costben::PredictedBlock> out;
   // Warm-up pass: the model learns the trace and the staging buffers,
   // memo and dedup table reach their steady-state sizes.

@@ -35,6 +35,8 @@
 namespace pfp::core::tree {
 namespace {
 
+using costben::PredictedBlock;
+
 /// One path that reaches a block at its best probability.
 struct Occurrence {
   NodeId node = kNoNode;
@@ -49,7 +51,7 @@ struct ReferenceEntry {
 };
 
 void reference_walk(const PrefetchTree& tree, NodeId node, double path,
-                    std::uint32_t depth, const EnumeratorLimits& limits,
+                    std::uint32_t depth, const costben::PredictLimits& limits,
                     std::unordered_map<BlockId, ReferenceEntry>& by_block) {
   if (depth >= limits.max_depth) {
     return;
@@ -77,7 +79,7 @@ void reference_walk(const PrefetchTree& tree, NodeId node, double path,
 /// Every block reachable from `from` within the limits, ranked by
 /// (probability desc, block asc); not yet cut at max_candidates.
 std::vector<ReferenceEntry> reference_enumerate(
-    const PrefetchTree& tree, NodeId from, const EnumeratorLimits& limits) {
+    const PrefetchTree& tree, NodeId from, const costben::PredictLimits& limits) {
   std::unordered_map<BlockId, ReferenceEntry> by_block;
   if (tree.weight(from) != 0) {
     reference_walk(tree, from, 1.0, 0, limits, by_block);
@@ -104,11 +106,10 @@ struct DiffStats {
   std::size_t straddled_cuts = 0;
 };
 
-::testing::AssertionResult matches_reference(const PrefetchTree& tree,
-                                             NodeId from,
-                                             const EnumeratorLimits& limits,
-                                             std::span<const Candidate> got,
-                                             DiffStats& stats) {
+::testing::AssertionResult matches_reference(
+    const PrefetchTree& tree, NodeId from,
+    const costben::PredictLimits& limits,
+    std::span<const PredictedBlock> got, DiffStats& stats) {
   ++stats.calls;
   const std::vector<ReferenceEntry> want =
       reference_enumerate(tree, from, limits);
@@ -137,9 +138,9 @@ struct DiffStats {
     }
   }
 
-  std::vector<Candidate> ranked(got.begin(), got.end());
+  std::vector<PredictedBlock> ranked(got.begin(), got.end());
   std::sort(ranked.begin(), ranked.end(),
-            [](const Candidate& a, const Candidate& b) {
+            [](const PredictedBlock& a, const PredictedBlock& b) {
               if (a.probability != b.probability) {
                 return a.probability > b.probability;
               }
@@ -151,7 +152,7 @@ struct DiffStats {
   }
   std::unordered_set<BlockId> emitted;
   for (std::size_t i = 0; i < n; ++i) {
-    const Candidate& c = ranked[i];
+    const PredictedBlock& c = ranked[i];
     if (!emitted.insert(c.block).second) {
       return ::testing::AssertionFailure() << "block " << c.block
                                            << " emitted twice";
@@ -171,13 +172,13 @@ struct DiffStats {
     const ReferenceEntry& entry = *entry_of.at(c.block);
     const bool known_path = std::any_of(
         entry.best.begin(), entry.best.end(), [&](const Occurrence& o) {
-          return o.node == c.node && o.depth == c.depth &&
+          return o.depth == c.depth &&
                  o.parent_probability == c.parent_probability;
         });
     if (!known_path) {
       return ::testing::AssertionFailure()
-             << "block " << c.block << " reported through node " << c.node
-             << " at depth " << c.depth
+             << "block " << c.block << " reported at depth " << c.depth
+             << " with parent probability " << c.parent_probability
              << ", not a most probable path to it";
     }
   }
@@ -187,12 +188,12 @@ struct DiffStats {
 /// The controller's limits, and a tight set whose cutoff 1/8 is exact in
 /// binary (edge ratios such as 1/8 and 2/16 land on it) and whose small
 /// cap often cuts through a tie group.
-std::vector<EnumeratorLimits> limit_sets() {
-  EnumeratorLimits tight;
+std::vector<costben::PredictLimits> limit_sets() {
+  costben::PredictLimits tight;
   tight.max_depth = 3;
   tight.min_probability = 0.125;
   tight.max_candidates = 4;
-  return {EnumeratorLimits{}, tight};
+  return {costben::PredictLimits{}, tight};
 }
 
 /// Feeds `blocks` through `tree`, diffing one reused enumerator against
@@ -202,11 +203,11 @@ std::vector<EnumeratorLimits> limit_sets() {
                                           const std::vector<BlockId>& blocks,
                                           DiffStats& stats) {
   CandidateEnumerator enumerator;
-  const std::vector<EnumeratorLimits> limits = limit_sets();
+  const std::vector<costben::PredictLimits> limits = limit_sets();
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     tree.access(blocks[i]);
     for (std::size_t l = 0; l < limits.size(); ++l) {
-      const std::span<const Candidate> got =
+      const std::span<const PredictedBlock> got =
           enumerator.enumerate(tree, tree.current(), limits[l]);
       ::testing::AssertionResult r =
           matches_reference(tree, tree.current(), limits[l], got, stats);

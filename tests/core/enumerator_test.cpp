@@ -14,8 +14,8 @@ PrefetchTree figure1_tree() {
   return tree;
 }
 
-EnumeratorLimits loose() {
-  EnumeratorLimits limits;
+costben::PredictLimits loose() {
+  costben::PredictLimits limits;
   limits.max_depth = 8;
   limits.min_probability = 0.0001;
   limits.max_candidates = 100;
@@ -80,7 +80,7 @@ TEST(Enumerator, BlocksAreUnique) {
 
 TEST(Enumerator, MaxDepthPrunes) {
   PrefetchTree tree = figure1_tree();
-  EnumeratorLimits limits = loose();
+  costben::PredictLimits limits = loose();
   limits.max_depth = 1;
   const auto c = enumerate_candidates(tree, tree.root(), limits);
   for (const auto& cand : c) {
@@ -90,7 +90,7 @@ TEST(Enumerator, MaxDepthPrunes) {
 
 TEST(Enumerator, MinProbabilityPrunes) {
   PrefetchTree tree = figure1_tree();
-  EnumeratorLimits limits = loose();
+  costben::PredictLimits limits = loose();
   limits.min_probability = 0.5;
   const auto c = enumerate_candidates(tree, tree.root(), limits);
   for (const auto& cand : c) {
@@ -106,7 +106,7 @@ TEST(Enumerator, MaxCandidatesCaps) {
   for (BlockId b = 1; b <= 50; ++b) {
     tree.access(b);
   }
-  EnumeratorLimits limits = loose();
+  costben::PredictLimits limits = loose();
   limits.max_candidates = 10;
   const auto c = enumerate_candidates(tree, tree.root(), limits);
   EXPECT_EQ(c.size(), 10u);
@@ -131,20 +131,19 @@ TEST(Enumerator, ReusedEnumeratorMatchesFreshCalls) {
   CandidateEnumerator reused;
   const BlockId stream[] = {1, 2, 3, 1, 2, 4, 1, 2, 3, 5, 1, 2,
                             3, 1, 4, 2, 1, 2, 3, 4, 5, 1, 2, 3};
-  EnumeratorLimits tight;
+  costben::PredictLimits tight;
   tight.max_depth = 2;
   tight.min_probability = 0.05;
   tight.max_candidates = 4;
   std::size_t step = 0;
   for (const BlockId b : stream) {
     tree.access(b);
-    const EnumeratorLimits& limits = (step % 2 == 0) ? loose() : tight;
+    const costben::PredictLimits& limits = (step % 2 == 0) ? loose() : tight;
     const auto fresh = enumerate_candidates(tree, tree.current(), limits);
     const auto again = reused.enumerate(tree, tree.current(), limits);
     ASSERT_EQ(again.size(), fresh.size()) << "step " << step;
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       EXPECT_EQ(again[i].block, fresh[i].block) << "step " << step;
-      EXPECT_EQ(again[i].node, fresh[i].node) << "step " << step;
       EXPECT_EQ(again[i].depth, fresh[i].depth) << "step " << step;
       EXPECT_DOUBLE_EQ(again[i].probability, fresh[i].probability)
           << "step " << step;

@@ -20,7 +20,7 @@ DeltaMarkov load(std::span<const std::uint8_t> image,
 }
 
 std::vector<PredictedBlock> predict(const DeltaMarkov& model,
-                                    MarkovPredictLimits limits = {}) {
+                                    costben::PredictLimits limits = {}) {
   std::vector<PredictedBlock> out;
   model.predict_into(limits, out);
   return out;
@@ -57,7 +57,7 @@ TEST(DeltaMarkov, ChainsExtendWithMultipliedProbabilities) {
   for (trace::BlockId b = 0; b <= 400; b += 4) {
     model.observe(b);
   }
-  MarkovPredictLimits limits;
+  costben::PredictLimits limits;
   limits.max_depth = 3;
   const auto out = predict(model, limits);
   ASSERT_EQ(out.size(), 3u);
@@ -80,7 +80,7 @@ TEST(DeltaMarkov, SplitsProbabilityAcrossCompetingSuccessors) {
   }
   // Last delta is +10; steer the parse position back onto context +1.
   model.observe(32);  // delta +1 -> context is now +1
-  MarkovPredictLimits limits;
+  costben::PredictLimits limits;
   limits.max_depth = 1;
   limits.min_probability = 0.0;
   const auto out = predict(model, limits);
@@ -101,7 +101,7 @@ TEST(DeltaMarkov, MinProbabilityCutsTheTail) {
     model.observe(b);
   }
   model.observe(32);
-  MarkovPredictLimits limits;
+  costben::PredictLimits limits;
   limits.max_depth = 1;
   limits.min_probability = 0.3;  // keeps the two 2/5ths, cuts the 1/5th
   const auto out = predict(model, limits);
@@ -129,7 +129,7 @@ TEST(DeltaMarkov, NeverPredictsNegativeBlocks) {
   for (int i = 0; i < 6; ++i) {
     model.observe(static_cast<trace::BlockId>(500 - i * 100));
   }
-  MarkovPredictLimits limits;
+  costben::PredictLimits limits;
   limits.max_depth = 8;
   const auto out = predict(model, limits);
   for (const PredictedBlock& c : out) {
@@ -144,7 +144,7 @@ TEST(DeltaMarkov, BlocksFarApartKeepTheDeltaArithmeticDefined) {
   // learned modulo 2^64.
   constexpr trace::BlockId kHalf = trace::BlockId{1} << 63;
   constexpr trace::BlockId kTop = ~trace::BlockId{0};
-  MarkovPredictLimits limits;
+  costben::PredictLimits limits;
   limits.max_depth = 8;
 
   DeltaMarkov half;
@@ -177,7 +177,7 @@ TEST(DeltaMarkov, RowWidthDisplacesTheWeakestSuccessor) {
     model.observe(b);
   }
   model.observe(56);  // context back to +1
-  MarkovPredictLimits limits;
+  costben::PredictLimits limits;
   limits.max_depth = 1;
   limits.min_probability = 0.0;
   const auto out = predict(model, limits);
@@ -230,7 +230,7 @@ TEST(DeltaMarkov, MemoryAccountingCountsTheModelNotPredictionStaging) {
   }
   const std::size_t trained = model.actual_memory_bytes();
   std::vector<PredictedBlock> out;
-  MarkovPredictLimits wide;
+  costben::PredictLimits wide;
   wide.min_probability = 0.0;
   wide.max_candidates = 500;
   model.predict_into(wide, out);
@@ -263,7 +263,7 @@ TEST(DeltaMarkovSerialize, RoundTripPreservesPredictions) {
   // trained row survived verbatim: {+1: 3, +8: 2, +10: 1} of 6.
   restored.observe(100);
   restored.observe(101);
-  MarkovPredictLimits limits;
+  costben::PredictLimits limits;
   limits.max_depth = 1;
   limits.min_probability = 0.0;
   std::vector<PredictedBlock> out;

@@ -30,7 +30,7 @@ using testing::ParsePosition;
 /// every access; stops at the first mismatch.
 ::testing::AssertionResult replay_matches(
     DeltaMarkov& model, const std::vector<trace::BlockId>& blocks,
-    const MarkovPredictLimits& limits, std::size_t& ambiguous_ties) {
+    const costben::PredictLimits& limits, std::size_t& ambiguous_ties) {
   ParsePosition pos;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     pos.observe(model, blocks[i]);
@@ -51,7 +51,7 @@ void report_ties(const char* where, std::size_t ties) {
 }
 
 TEST(MarkovPredictDiff, MatchesReferenceAtEveryAccessOfEachWorkload) {
-  MarkovPredictLimits narrow;
+  costben::PredictLimits narrow;
   narrow.max_depth = 3;
   narrow.min_probability = 0.05;
   narrow.max_candidates = 6;
@@ -62,7 +62,7 @@ TEST(MarkovPredictDiff, MatchesReferenceAtEveryAccessOfEachWorkload) {
     for (const trace::TraceRecord& r : t) {
       blocks.push_back(r.block);
     }
-    for (const MarkovPredictLimits& limits : {MarkovPredictLimits{}, narrow}) {
+    for (const costben::PredictLimits& limits : {costben::PredictLimits{}, narrow}) {
       DeltaMarkov model;
       std::size_t ties = 0;
       EXPECT_TRUE(replay_matches(model, blocks, limits, ties))
@@ -85,7 +85,7 @@ TEST(MarkovPredictDiff, MatchesReferenceOnSeededRandomDeltaStreams) {
     config.row_width = kWidths[rng.below(std::size(kWidths))];
     config.max_contexts = kContexts[rng.below(std::size(kContexts))];
     config.max_count = 2 + static_cast<std::uint32_t>(rng.below(60));
-    MarkovPredictLimits limits;
+    costben::PredictLimits limits;
     limits.max_depth = 1 + static_cast<std::uint32_t>(rng.below(10));
     limits.min_probability =
         kMinProbabilities[rng.below(std::size(kMinProbabilities))];
@@ -135,8 +135,8 @@ std::vector<trace::BlockId> from_deltas(
 
 /// Every limits variant the fixtures are checked under: the defaults,
 /// the caps 0 and 1, depth 1, and no probability floor.
-std::vector<MarkovPredictLimits> fixture_limits() {
-  std::vector<MarkovPredictLimits> all(5);
+std::vector<costben::PredictLimits> fixture_limits() {
+  std::vector<costben::PredictLimits> all(5);
   all[1].max_candidates = 0;
   all[2].max_candidates = 1;
   all[3].max_depth = 1;
@@ -148,7 +148,7 @@ std::vector<MarkovPredictLimits> fixture_limits() {
 void expect_fixture_matches(const std::vector<trace::BlockId>& blocks,
                             MarkovConfig config = {}) {
   std::size_t ties = 0;
-  for (const MarkovPredictLimits& limits : fixture_limits()) {
+  for (const costben::PredictLimits& limits : fixture_limits()) {
     DeltaMarkov model(config);
     EXPECT_TRUE(replay_matches(model, blocks, limits, ties))
         << "max_candidates " << limits.max_candidates << ", max_depth "
@@ -250,11 +250,11 @@ TEST(MarkovPredictDiff, CapBoundaryTieIsBrokenByBlockAlone) {
   for (const trace::BlockId b : blocks) {
     pos.observe(model, b);
   }
-  MarkovPredictLimits uncapped;
+  costben::PredictLimits uncapped;
   uncapped.max_candidates = 500;
   const testing::ReferenceResult all =
       testing::reference_predict(model, pos, uncapped);
-  const MarkovPredictLimits limits;  // max_candidates 48
+  const costben::PredictLimits limits;  // max_candidates 48
   ASSERT_GT(all.entries.size(), limits.max_candidates);
   const PredictedBlock& last_kept = all.entries[47].candidate;
   const PredictedBlock& first_dropped = all.entries[48].candidate;
@@ -291,7 +291,7 @@ TEST(MarkovPredictDiff, AppendsAfterANonEmptyOut) {
   const std::vector<PredictedBlock> prefix = {{7, 0.5, 1.0, 1},
                                               {9, 0.25, 0.5, 2}};
   std::size_t ties = 0;
-  for (const MarkovPredictLimits& limits : fixture_limits()) {
+  for (const costben::PredictLimits& limits : fixture_limits()) {
     DeltaMarkov model;
     ParsePosition pos;
     for (const trace::BlockId b : blocks) {
@@ -351,7 +351,7 @@ TEST(MarkovPredictDiff, RankingAfterPricingWalksTheRankedListsOrder) {
   // equal what pricing the reference's ranked list with no rank gives,
   // at every access.  The benefit sort is not stable, so this holds only
   // because the entries reach it in the same sequence.
-  const MarkovPredictLimits limits;
+  const costben::PredictLimits limits;
   policy::CostBenefitKnobs knobs;
   knobs.max_depth = limits.max_depth;
   const costben::TimingParams timing;
@@ -395,7 +395,7 @@ TEST(MarkovPredictDiff, RankingAfterPricingWalksTheRankedListsOrder) {
           timing, kPrefetchRates[i % std::size(kPrefetchRates)],
           knobs.max_depth, dtpf);
       policy::price_and_order(std::span<const PredictedBlock>(set), knobs,
-                              benefit_of, order, DeltaMarkov::ranks_before);
+                              benefit_of, order, /*rank=*/true);
       const std::vector<PredictedBlock> got = walk_order(order, set);
       policy::price_and_order(std::span<const PredictedBlock>(ranked), knobs,
                               benefit_of, order);

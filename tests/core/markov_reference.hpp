@@ -62,7 +62,7 @@ struct ReferenceResult {
 
 inline ReferenceResult reference_predict(const DeltaMarkov& model,
                                          const ParsePosition& pos,
-                                         const MarkovPredictLimits& limits) {
+                                         const costben::PredictLimits& limits) {
   ReferenceResult result;
   if (!pos.has_delta || limits.max_candidates == 0) {
     return result;
@@ -159,7 +159,7 @@ inline ReferenceResult reference_predict(const DeltaMarkov& model,
 /// ties to `ambiguous_ties`.
 inline ::testing::AssertionResult matches_reference(
     const DeltaMarkov& model, const ParsePosition& pos,
-    const MarkovPredictLimits& limits, std::size_t& ambiguous_ties,
+    const costben::PredictLimits& limits, std::size_t& ambiguous_ties,
     const std::vector<costben::PredictedBlock>& prefix = {}) {
   const ReferenceResult want = reference_predict(model, pos, limits);
   ambiguous_ties += want.ambiguous_ties;

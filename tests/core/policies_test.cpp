@@ -234,7 +234,7 @@ TEST(Policies, TreeLvcMatchesTreeOnCleanPattern) {
 TEST(Policies, TreeRespectsNodeBudget) {
   PolicySpec spec;
   spec.kind = PolicyKind::kTree;
-  spec.tree.tree.max_nodes = 128;
+  spec.tree.max_nodes = 128;
   EngineConfig c;
   c.cache_blocks = 64;
   c.policy = spec;

@@ -3,6 +3,7 @@
 // opaque serialize/restore virtuals, and typed candidate introspection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -115,9 +116,11 @@ TEST(MarkovPolicy, PredictionsIntoReportsTypedCandidates) {
   MarkovCostBenefit policy;
   feed(policy, h, strided_trace(41, 4));  // last access: block 160
   std::vector<costben::PredictedBlock> out;
-  const std::size_t n = policy.predictions_into(out);
+  const std::size_t n =
+      policy.model().predict_into(costben::PredictLimits{}, out);
   ASSERT_GT(n, 0u);
   ASSERT_EQ(out.size(), n);
+  std::sort(out.begin(), out.end(), markov::DeltaMarkov::ranks_before);
   EXPECT_EQ(out[0].block, 164u);
   EXPECT_GT(out[0].probability, 0.0);
   EXPECT_EQ(out[0].depth, 1u);
@@ -155,9 +158,9 @@ TEST(AssocPolicy, PrefetchesAMinedAssociation) {
 
 TEST(AssocPolicy, PredictorStateRoundTripsThroughTheVirtuals) {
   testing::Harness h(64);
-  AssocPolicyConfig config;
-  config.miner.window = 16;
-  config.miner.lookahead = 4;
+  assoc::AssocConfig config;
+  config.window = 16;
+  config.lookahead = 4;
   AssocCostBenefit trained(config);
   feed(trained, h, interleaved_pair_trace(8));
   EXPECT_EQ(trained.predictor_state_tag(), kPredictorAssoc);
@@ -184,15 +187,14 @@ TEST(AssocPolicy, LoadRejectsForeignBlobs) {
 
 TEST(AssocPolicy, PredictionsIntoReportsTypedCandidates) {
   testing::Harness h(64);
-  AssocPolicyConfig config;
-  config.miner.window = 16;
-  config.miner.lookahead = 4;
+  assoc::AssocConfig config;
+  config.window = 16;
+  config.lookahead = 4;
   AssocCostBenefit policy(config);
-  trace::Trace t = interleaved_pair_trace(8);
-  t.append(100);  // park the introspection point on the trained source
-  feed(policy, h, t);
+  feed(policy, h, interleaved_pair_trace(8));
   std::vector<costben::PredictedBlock> out;
-  const std::size_t n = policy.predictions_into(out);
+  const std::size_t n =
+      policy.miner().predict_into(100, costben::PredictLimits{}, out);
   ASSERT_GT(n, 0u);
   ASSERT_EQ(out.size(), n);
   EXPECT_EQ(out[0].block, 200u);
@@ -203,8 +205,6 @@ TEST(PredictorInterface, BaselinePoliciesCarryNoState) {
   const PolicySpec spec;  // kNoPrefetch
   const auto policy = make_prefetcher(spec);
   EXPECT_EQ(policy->predictor_state_tag(), kPredictorNone);
-  std::vector<costben::PredictedBlock> out;
-  EXPECT_EQ(policy->predictions_into(out), 0u);
   std::vector<std::uint8_t> blob;
   policy->save_predictor_state(blob);
   EXPECT_TRUE(blob.empty());

@@ -73,7 +73,7 @@ TEST(TreeSerialize, RoundTripPreservesPredictions) {
   const PrefetchTree original = trained_tree(2, 20'000);
   const std::vector<std::uint8_t> buf = image_of(original);
   const PrefetchTree loaded = load(buf);
-  EnumeratorLimits limits;
+  costben::PredictLimits limits;
   const auto a = enumerate_candidates(original, original.root(), limits);
   const auto b = enumerate_candidates(loaded, loaded.root(), limits);
   ASSERT_EQ(a.size(), b.size());

@@ -20,7 +20,8 @@ TEST(TreeAdaptive, FactoryIntegration) {
 TEST(TreeAdaptive, FloorStartsAtInitial) {
   AdaptiveConfig config;
   config.initial_floor = 0.03;
-  TreeAdaptive policy(TreePolicyConfig{}, config);
+  TreeAdaptive policy(tree::TreeConfig{}, costben::PredictLimits{},
+                      ControllerConfig{}, config);
   EXPECT_DOUBLE_EQ(policy.probability_floor(), 0.03);
 }
 
@@ -28,7 +29,9 @@ TEST(TreeAdaptive, RejectsInvalidConfig) {
   AdaptiveConfig bad;
   bad.min_floor = 0.5;
   bad.initial_floor = 0.1;  // min > initial
-  EXPECT_DEATH(TreeAdaptive(TreePolicyConfig{}, bad), "precondition");
+  EXPECT_DEATH(TreeAdaptive(tree::TreeConfig{}, costben::PredictLimits{},
+                            ControllerConfig{}, bad),
+               "precondition");
 }
 
 TEST(TreeAdaptive, FloorTightensOnNoisyWorkload) {

@@ -90,7 +90,7 @@ TEST(EngineConfigValidate, RejectsZeroChildren) {
 
 TEST(EngineConfigValidate, RejectsZeroPrefetchBudget) {
   EngineConfig c = good_config();
-  c.policy.tree.max_prefetches_per_period = 0;
+  c.policy.controller.max_prefetches_per_period = 0;
   EXPECT_THROW(validate(c), std::invalid_argument);
 }
 

@@ -206,6 +206,31 @@ TEST(Session, OracleTenantOpenIsBadConfig) {
   EXPECT_FALSE(session.fatal());
 }
 
+TEST(Session, OversizedTenantOpenIsBadConfigBeforeAnythingIsBuilt) {
+  // A fuzzed TENANT_OPEN: ~3.6e9 blocks on each of 2 shards.  Building it
+  // would try to allocate tens of GB; the session must refuse it first.
+  engine::TenantRegistry registry;
+  Session session(registry, SessionConfig{});
+  EXPECT_TRUE(session.ingest(
+      make_frame(wire::MsgType::kTenantOpen, 1, 1,
+                 open_payload("t", "tree", 0xd60001acULL, /*shards=*/2))));
+  // The cap is on the pool summed over shards: one such shard would fit.
+  EXPECT_TRUE(session.ingest(make_frame(
+      wire::MsgType::kTenantOpen, 2, 2,
+      open_payload("u", "tree", kMaxTenantCacheBlocks / 2 + 1,
+                   /*shards=*/2))));
+  const std::vector<Reply> replies = drain_replies(session);
+  ASSERT_EQ(replies.size(), 2u);
+  for (const Reply& reply : replies) {
+    const wire::ErrorReply error = expect_error(reply);
+    EXPECT_EQ(error.code, wire::ErrorCode::kBadConfig);
+    EXPECT_NE(error.detail.find("cache_blocks"), std::string::npos)
+        << error.detail;
+  }
+  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_FALSE(session.fatal());
+}
+
 TEST(Session, AccessReplyMatchesAccessManyOfOne) {
   // ACCESS is an ACCESS_MANY of one: for the same stream, every reply
   // must carry the same flags, tenant, serial and payload bytes; only
