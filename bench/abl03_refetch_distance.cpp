@@ -52,8 +52,9 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
   }
-  std::cout << "\nAt the paper's T_cpu = 50 ms all profitable candidates "
-               "sit at depth 1 and the\nrules coincide; the choice only "
-               "matters in stall-bound regimes.\n";
+  std::cout << "\nAt the paper's T_cpu = 50 ms the payable depth is 1: the "
+               "tree walk stops there,\nso every candidate is priced at "
+               "depth 1 (x = 0 under all three rules) and the\nrules "
+               "coincide; the choice only matters in stall-bound regimes.\n";
   return 0;
 }

@@ -10,6 +10,7 @@
 
 #include "cache/buffer_cache.hpp"
 #include "cache/lru_cache.hpp"
+#include "core/costben/equations.hpp"
 #include "core/markov/markov_model.hpp"
 #include "core/tree/enumerator.hpp"
 #include "core/tree/prefetch_tree.hpp"
@@ -31,6 +32,19 @@ const trace::Trace& cad_trace() {
     return trace::CadGenerator(config).generate();
   }();
   return t;
+}
+
+/// The limits the served tree and markov walks run under at the default
+/// timing: the default PredictLimits cut at the period's payable depth
+/// (BenefitTable::payable_depth; 1 at the paper's constants, for any s).
+core::costben::PredictLimits served_limits() {
+  core::costben::PredictLimits limits;
+  std::vector<double> dtpf;
+  limits.max_depth =
+      core::costben::BenefitTable(core::costben::TimingParams{}, /*s=*/1.0,
+                                  limits.max_depth, dtpf)
+          .payable_depth();
+  return limits;
 }
 
 void BM_TreeParse(benchmark::State& state) {
@@ -89,7 +103,7 @@ void BM_EnumerateCandidates(benchmark::State& state) {
   for (const auto& r : t) {
     tree.access(r.block);
   }
-  core::costben::PredictLimits limits;
+  const core::costben::PredictLimits limits = served_limits();
   // Walk the parse along the trace while enumerating, to sample realistic
   // positions rather than just the root.
   std::size_t i = 0;
@@ -106,13 +120,14 @@ BENCHMARK(BM_EnumerateCandidates);
 void BM_EnumerateCandidatesReuse(benchmark::State& state) {
   // Same walk as BM_EnumerateCandidates but through one reused
   // CandidateEnumerator, i.e. the policy hot path's allocation-free mode;
-  // the gap between the two benchmarks is the one-shot setup cost.
+  // the gap between the two benchmarks is the one-shot setup cost.  Both
+  // walk at the served payable depth.
   const auto& t = cad_trace();
   core::tree::PrefetchTree tree;
   for (const auto& r : t) {
     tree.access(r.block);
   }
-  core::costben::PredictLimits limits;
+  const core::costben::PredictLimits limits = served_limits();
   core::tree::CandidateEnumerator enumerator;
   std::size_t i = 0;
   for (auto _ : state) {
@@ -129,10 +144,11 @@ void BM_MarkovPredict(benchmark::State& state) {
   // The markov policy's per-access predictor work on a model warmed on
   // the whole trace: one observe() to advance the parse position (so
   // every call predicts from a fresh, realistic context) and one
-  // predict_into() under the policy's default limits, which yields the
-  // capped candidate set unranked (the controller ranks what it prices
-  // positive).  Arg 0 replays the CAD trace, Arg 1 the snake trace (the
-  // served snake-ship stream).
+  // predict_into() under the limits the policy serves with (the default
+  // ones cut at the payable depth), which yields the capped candidate set
+  // unranked (the controller ranks what it prices positive).  Arg 0
+  // replays the CAD trace, Arg 1 the snake trace (the served snake-ship
+  // stream).
   static const trace::Trace snake =
       trace::make_workload(trace::Workload::kSnake, 100'000);
   const trace::Trace& t = state.range(0) == 0 ? cad_trace() : snake;
@@ -140,7 +156,7 @@ void BM_MarkovPredict(benchmark::State& state) {
   for (const auto& r : t) {
     model.observe(r.block);
   }
-  const core::costben::PredictLimits limits;
+  const core::costben::PredictLimits limits = served_limits();
   std::vector<core::costben::PredictedBlock> out;
   std::size_t i = 0;
   for (auto _ : state) {

@@ -42,6 +42,9 @@ BenefitTable::BenefitTable(const TimingParams& timing, double s,
   storage.resize(static_cast<std::size_t>(max_depth) + 1);
   for (std::uint32_t d = 0; d <= max_depth; ++d) {
     storage[d] = delta_t_pf(timing, s, d);
+    if (d > 0 && storage[d] > storage[d - 1]) {
+      payable_depth_ = d;
+    }
   }
   dtpf_ = storage.data();
   max_depth_ = max_depth;

@@ -45,6 +45,12 @@ double benefit(const TimingParams& timing, double s, double p_b,
 /// d = 0..max_depth and reduces every benefit to two multiplies.
 /// Bit-identical to benefit(): the same delta_t_pf() values feed the same
 /// expression in the same order.
+///
+/// The table also tells a predictor how deep to walk.  dT_pf grows with d
+/// until the stall of Eq. 6 reaches zero (the prefetch horizon) and is
+/// flat at T_disk after it, so past the payable depth D Eq. 1 is
+/// (p_b - p_x) * dT_pf(D), which is <= 0 exactly in floating point for any
+/// p_b <= p_x: no candidate deeper than D can ever be issued.
 class BenefitTable {
  public:
   /// Fills `storage` with dT_pf(0..max_depth) for this period and keeps a
@@ -60,6 +66,14 @@ class BenefitTable {
     return p_b * dtpf_[d_b] - p_x * dtpf_[d_b - 1];
   }
 
+  /// D: the deepest d <= max_depth with dT_pf(d) > dT_pf(d - 1), i.e.
+  /// prefetch_horizon() capped at the table's size (0 for an empty
+  /// table).  Every d in (D, max_depth] has dT_pf(d) == dT_pf(D) bit for
+  /// bit, so a chained candidate deeper than D prices <= 0.
+  [[nodiscard]] std::uint32_t payable_depth() const noexcept {
+    return payable_depth_;
+  }
+
   /// dT_pf(b, d) itself.  Eq. 1's second term assumes the candidate will
   /// be offered again at depth d-1 next period; single-offer predictors
   /// (see CostBenefitKnobs::single_offer) price against the demand fetch
@@ -72,6 +86,7 @@ class BenefitTable {
  private:
   const double* dtpf_;
   std::uint32_t max_depth_;
+  std::uint32_t payable_depth_ = 0;
 };
 
 /// Eq. 14: expected wasted driver time for prefetching b under parent x.

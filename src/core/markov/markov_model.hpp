@@ -19,7 +19,12 @@
 // extend each depth-1 candidate along the most probable path, multiplying
 // step probabilities exactly like the LZ tree multiplies edge
 // probabilities (Eq. 1's p_b), with the previous chain element's
-// probability as p_x.
+// probability as p_x.  The markov policy walks only to the period's
+// payable depth (costben::BenefitTable::payable_depth), past which Eq. 1
+// prices every chain entry <= 0.  At the paper's constants that depth
+// is 1: the walk emits the current row alone (at most row_width distinct
+// blocks), and the dedup table and the max_candidates selection do
+// nothing.
 #pragma once
 
 #include <array>

@@ -19,18 +19,21 @@ void AssocCostBenefit::on_access(BlockId block, AccessOutcome outcome,
   ctx.metrics.tree_bytes = miner_.actual_memory_bytes();
   util::phase_mark(ctx.phases, util::EnginePhase::kPredictorUpdate);
 
+  // Single-offer pricing is positive at any depth, so unlike the chained
+  // families the association walk is not cut at the payable depth.
+  const costben::BenefitTable benefit_of(ctx.timing, ctx.estimators.s(),
+                                         limits_.max_depth, dtpf_);
   candidates_.clear();
   miner_.predict_into(block, limits_, candidates_);
   util::phase_mark(ctx.phases, util::EnginePhase::kEnumeration);
 
   CostBenefitKnobs knobs;
-  knobs.max_depth = limits_.max_depth;
   // An association surfaces only while its source is the current access;
   // Eq. 1's defer-to-depth-(d-1) alternative never materializes for it.
   knobs.single_offer = true;
   const std::uint32_t issued = run_cost_benefit_loop(
       std::span<const costben::PredictedBlock>(candidates_), controller_,
-      knobs, ctx, order_, dtpf_);
+      knobs, benefit_of, ctx, order_);
   ctx.estimators.end_period(issued);
 }
 

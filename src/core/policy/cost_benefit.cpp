@@ -77,15 +77,11 @@ void price_and_order(std::span<const costben::PredictedBlock> candidates,
 std::uint32_t run_cost_benefit_loop(
     std::span<const costben::PredictedBlock> candidates,
     const ControllerConfig& controller, const CostBenefitKnobs& knobs,
-    Context& ctx, std::vector<std::pair<double, std::size_t>>& order,
-    std::vector<double>& dtpf, bool rank) {
+    const costben::BenefitTable& benefit_of, Context& ctx,
+    std::vector<std::pair<double, std::size_t>>& order, bool rank) {
   if (candidates.empty()) {
     return 0;
   }
-  // s is an EWMA refreshed once per access period, so benefits are fixed
-  // within the loop: tabulate dT_pf once and process best-first.
-  const costben::BenefitTable benefit_of(ctx.timing, ctx.estimators.s(),
-                                         knobs.max_depth, dtpf);
   price_and_order(candidates, knobs, benefit_of, order, rank);
   util::phase_mark(ctx.phases, util::EnginePhase::kCostBenefit);
 

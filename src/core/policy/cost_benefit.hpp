@@ -2,9 +2,16 @@
 //
 // Every cost-benefit policy runs the same per-period sequence regardless
 // of where its candidates come from:
-//   1. price each candidate with Eq. 1 (through the per-period
-//      BenefitTable), keep those with positive benefit and order them by
-//      benefit (price_and_order);
+//   0. build the period's BenefitTable (Eq. 2 at this period's s) before
+//      the predictor walks, and walk chained predictors (tree, delta
+//      chain) only to its payable depth D: past D, Eq. 1 prices every
+//      candidate <= 0, so deeper candidates could never be issued.  At
+//      the paper's constants D = 1.  The association family keeps its
+//      whole walk: single-offer pricing (p * dT_pf(d)) is positive at any
+//      depth;
+//   1. price each candidate with Eq. 1 (through that table), keep those
+//      with positive benefit and order them by benefit
+//      (price_and_order);
 //   2. walk best-first, pricing the cheapest replacement victim
 //      (Eq. 11 vs Eq. 13) and Eq. 14's overhead;
 //   3. prefetch while  B(b) - T_oh >= C,  stopping at the per-period cap.
@@ -18,9 +25,9 @@
 // order among equal benefits depends on the order candidates arrive in
 // (the tree's metric pins depend on it).  Tree and association
 // candidates arrive ranked.  The delta chain hands over an unranked set,
-// and step 1 ranks only the positive-benefit entries (~5 of ~36) by
-// costben::RankOrder before the sort: the sequence a ranked input would
-// give.
+// and step 1 ranks only the positive-benefit entries (a few of at most
+// row_width = 8 at payable depth 1) by costben::RankOrder before the
+// sort: the sequence a ranked input would give.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +71,6 @@ struct ControllerConfig {
 /// What the pricing step reads besides the controller's settings; each
 /// family fills this per period.
 struct CostBenefitKnobs {
-  std::uint32_t max_depth = 8;  ///< BenefitTable size (>= deepest candidate)
   /// Minimum path probability a candidate must carry this period (the
   /// adaptive policy's feedback floor; 0 = no floor beyond enumeration).
   double probability_floor = 0.0;
@@ -99,18 +105,21 @@ void price_and_order(std::span<const costben::PredictedBlock> candidates,
                      std::vector<std::pair<double, std::size_t>>& order,
                      bool rank = false);
 
-/// Runs selection / pricing / decision over one period's candidates;
-/// returns the number of prefetches issued (callers fold it into the s
-/// estimate).  `order` and `dtpf` are caller-owned scratch reused across
-/// periods so the loop allocates nothing at steady state; the controller
-/// reclaims by `controller.reclaim` when it needs room; `rank` orders an
-/// unranked candidate set (see price_and_order).  Marks the cost-benefit
-/// phase boundary after the pricing sort, exactly where the tree family
-/// always marked it.
+/// Runs selection / pricing / decision over one period's candidates,
+/// priced through `benefit_of`: step 0's table, dT_pf(0..max_depth) at
+/// this period's s for the predictor's walk limit max_depth, so every
+/// candidate it can emit has a row and payable_depth() is min(max_depth,
+/// D).  Returns the number of prefetches issued (callers fold it into the s
+/// estimate).  `order` is caller-owned scratch reused across periods so
+/// the loop allocates nothing at steady state; the controller reclaims by
+/// `controller.reclaim` when it needs room; `rank` orders an unranked
+/// candidate set (see price_and_order).  Marks the cost-benefit phase
+/// boundary after the pricing sort, exactly where the tree family always
+/// marked it.
 std::uint32_t run_cost_benefit_loop(
     std::span<const costben::PredictedBlock> candidates,
     const ControllerConfig& controller, const CostBenefitKnobs& knobs,
-    Context& ctx, std::vector<std::pair<double, std::size_t>>& order,
-    std::vector<double>& dtpf, bool rank = false);
+    const costben::BenefitTable& benefit_of, Context& ctx,
+    std::vector<std::pair<double, std::size_t>>& order, bool rank = false);
 
 }  // namespace pfp::core::policy

@@ -19,17 +19,21 @@ void MarkovCostBenefit::on_access(BlockId block, AccessOutcome outcome,
   ctx.metrics.tree_bytes = model_.actual_memory_bytes();
   util::phase_mark(ctx.phases, util::EnginePhase::kPredictorUpdate);
 
+  const costben::BenefitTable benefit_of(ctx.timing, ctx.estimators.s(),
+                                         limits_.max_depth, dtpf_);
+  // Past the payable depth Eq. 1 prices every chain entry <= 0: walk no
+  // deeper than what the controller could issue.
+  costben::PredictLimits walk = limits_;
+  walk.max_depth = benefit_of.payable_depth();
   candidates_.clear();
-  model_.predict_into(limits_, candidates_);
+  model_.predict_into(walk, candidates_);
   util::phase_mark(ctx.phases, util::EnginePhase::kEnumeration);
 
-  CostBenefitKnobs knobs;
-  knobs.max_depth = limits_.max_depth;
   // The chain hands over an unranked set; the loop ranks only the
   // candidates it prices positive.
   const std::uint32_t issued = run_cost_benefit_loop(
       std::span<const costben::PredictedBlock>(candidates_), controller_,
-      knobs, ctx, order_, dtpf_, /*rank=*/true);
+      CostBenefitKnobs{}, benefit_of, ctx, order_, /*rank=*/true);
   ctx.estimators.end_period(issued);
 }
 

@@ -23,14 +23,18 @@ void TreeCostBenefit::reclaim_for_demand(Context& ctx) {
 }
 
 std::uint32_t TreeCostBenefit::run_cost_benefit(Context& ctx) {
-  const auto candidates =
-      enumerator_.enumerate(tree_, tree_.current(), limits_);
+  const costben::BenefitTable benefit_of(ctx.timing, ctx.estimators.s(),
+                                         limits_.max_depth, dtpf_);
+  // Past the payable depth Eq. 1 prices every descendant <= 0: walk no
+  // deeper than what the controller could issue.
+  costben::PredictLimits walk = limits_;
+  walk.max_depth = benefit_of.payable_depth();
+  const auto candidates = enumerator_.enumerate(tree_, tree_.current(), walk);
   util::phase_mark(ctx.phases, util::EnginePhase::kEnumeration);
   CostBenefitKnobs knobs;
-  knobs.max_depth = limits_.max_depth;
   knobs.probability_floor = probability_floor();
-  return run_cost_benefit_loop(candidates, controller_, knobs, ctx, order_,
-                               dtpf_);
+  return run_cost_benefit_loop(candidates, controller_, knobs, benefit_of,
+                               ctx, order_);
 }
 
 }  // namespace pfp::core::policy

@@ -2,7 +2,8 @@
 //
 // Each access period (Sections 4 and 7):
 //   1. enumerate prefetch candidates from the tree with their path
-//      probabilities and pick the highest-benefit block (Eq. 1);
+//      probabilities, no deeper than the period's payable depth (past it
+//      Eq. 1 is <= 0), and pick the highest-benefit block (Eq. 1);
 //   2. price the cheapest replacement victim (Eq. 11 vs Eq. 13);
 //   3. prefetch while  B(b) - T_oh >= C  (Eq. 14 overhead), repeating
 //      until the inequality fails or the per-period issue cap is hit.

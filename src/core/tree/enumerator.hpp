@@ -12,6 +12,18 @@
 // probability-ordered frontier yields the globally most probable
 // descendants first and the cut-offs are exact, not heuristic.
 //
+// The cost-benefit policies pass limits whose depth is the period's
+// payable depth (costben::BenefitTable::payable_depth): past it Eq. 1
+// prices every descendant <= 0, so they walk no deeper than the
+// controller could issue.  At the paper's constants that depth is 1 and
+// a call scans one child run, whose blocks are distinct, so the dedup
+// table admits everything.  The max_candidates cap still keeps the 48
+// most probable children of a node with more above min_probability
+// (2-6% of calls on the paper workloads), but children's weights sum to
+// at most their parent's, so every child it cuts has p <= 1/49, below
+// the ~0.037 at which Eq. 14's overhead outweighs a depth-1 benefit: it
+// never cuts a block the controller would issue.
+//
 // Candidates are costben::PredictedBlock, the controller's vocabulary,
 // so the controller prices the enumerator's output span in place.
 //

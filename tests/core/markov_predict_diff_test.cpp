@@ -352,8 +352,7 @@ TEST(MarkovPredictDiff, RankingAfterPricingWalksTheRankedListsOrder) {
   // at every access.  The benefit sort is not stable, so this holds only
   // because the entries reach it in the same sequence.
   const costben::PredictLimits limits;
-  policy::CostBenefitKnobs knobs;
-  knobs.max_depth = limits.max_depth;
+  const policy::CostBenefitKnobs knobs;
   const costben::TimingParams timing;
   constexpr double kPrefetchRates[] = {0.25, 1.0, 4.0};
   std::vector<double> dtpf;
@@ -393,7 +392,7 @@ TEST(MarkovPredictDiff, RankingAfterPricingWalksTheRankedListsOrder) {
 
       const costben::BenefitTable benefit_of(
           timing, kPrefetchRates[i % std::size(kPrefetchRates)],
-          knobs.max_depth, dtpf);
+          limits.max_depth, dtpf);
       policy::price_and_order(std::span<const PredictedBlock>(set), knobs,
                               benefit_of, order, /*rank=*/true);
       const std::vector<PredictedBlock> got = walk_order(order, set);

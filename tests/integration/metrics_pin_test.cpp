@@ -43,11 +43,11 @@ const Golden kGolden[] = {
     {trace::Workload::kCad, core::policy::PolicyKind::kNextLimit,
      7868u, 0u, 22132u, 331980, 1864943.1200013915},
     {trace::Workload::kCad, core::policy::PolicyKind::kTree,
-     4054u, 9105u, 16841u, 252615, 1775256.4400009138},
+     4045u, 9119u, 16836u, 252540, 1775191.880000907},
     {trace::Workload::kCad, core::policy::PolicyKind::kTreeNextLimit,
-     3945u, 9173u, 16882u, 253230, 1791023.9400007452},
+     3935u, 9194u, 16871u, 253065, 1790877.5000007523},
     {trace::Workload::kCad, core::policy::PolicyKind::kTreeLvc,
-     3608u, 9421u, 16971u, 254565, 1778226.0800010264},
+     3603u, 9438u, 16959u, 254385, 1778053.6200010197},
     {trace::Workload::kCad, core::policy::PolicyKind::kTreeThreshold,
      8134u, 5224u, 16642u, 249630, 1773151.8800008276},
     {trace::Workload::kCad, core::policy::PolicyKind::kTreeChildren,
@@ -57,9 +57,9 @@ const Golden kGolden[] = {
     {trace::Workload::kCad, core::policy::PolicyKind::kPerfectSelector,
      8135u, 11663u, 10202u, 153030, 1673001.7000007906},
     {trace::Workload::kCad, core::policy::PolicyKind::kTreeAdaptive,
-     4054u, 9105u, 16841u, 252615, 1775256.4400009138},
+     4045u, 9119u, 16836u, 252540, 1775191.880000907},
     {trace::Workload::kCad, core::policy::PolicyKind::kMarkov,
-     5081u, 17368u, 7551u, 113265, 1635266.7000007527},
+     5070u, 17420u, 7510u, 112650, 1634659.820000689},
     {trace::Workload::kCad, core::policy::PolicyKind::kAssoc,
      4987u, 16360u, 8653u, 129795, 1652095.9800006372},
     {trace::Workload::kSitar, core::policy::PolicyKind::kNoPrefetch,
@@ -67,11 +67,11 @@ const Golden kGolden[] = {
     {trace::Workload::kSitar, core::policy::PolicyKind::kNextLimit,
      16012u, 12983u, 1005u, 15075, 1530945.5200005798},
     {trace::Workload::kSitar, core::policy::PolicyKind::kTree,
-     11432u, 6930u, 11638u, 174570, 1692898.5600007956},
+     11432u, 6932u, 11636u, 174540, 1692868.560000794},
     {trace::Workload::kSitar, core::policy::PolicyKind::kTreeNextLimit,
-     10112u, 18993u, 895u, 13425, 1532924.5800006709},
+     10112u, 18996u, 892u, 13380, 1532879.5800006695},
     {trace::Workload::kSitar, core::policy::PolicyKind::kTreeLvc,
-     11228u, 7111u, 11661u, 174915, 1693372.9000008027},
+     11228u, 7113u, 11659u, 174885, 1693342.9000008013},
     {trace::Workload::kSitar, core::policy::PolicyKind::kTreeThreshold,
      16664u, 2018u, 11318u, 169769.99999999994, 1686752.9600006524},
     {trace::Workload::kSitar, core::policy::PolicyKind::kTreeChildren,
@@ -81,7 +81,7 @@ const Golden kGolden[] = {
     {trace::Workload::kSitar, core::policy::PolicyKind::kPerfectSelector,
      16665u, 4536u, 8799u, 131985, 1647009.3000006182},
     {trace::Workload::kSitar, core::policy::PolicyKind::kTreeAdaptive,
-     11432u, 6930u, 11638u, 174570, 1692898.5600007956},
+     11432u, 6932u, 11636u, 174540, 1692868.560000794},
     {trace::Workload::kSitar, core::policy::PolicyKind::kMarkov,
      12490u, 15170u, 2340u, 35100, 1552754.60000069},
     {trace::Workload::kSitar, core::policy::PolicyKind::kAssoc,
@@ -115,11 +115,11 @@ const Golden kGolden[] = {
     {trace::Workload::kSnake, core::policy::PolicyKind::kNextLimit,
      0u, 27293u, 2707u, 40605, 1566717.7400007911},
     {trace::Workload::kSnake, core::policy::PolicyKind::kTree,
-     0u, 3983u, 26017u, 390255, 1915570.8200010902},
+     0u, 3983u, 26017u, 390255, 1915570.2400010906},
     {trace::Workload::kSnake, core::policy::PolicyKind::kTreeNextLimit,
      0u, 27495u, 2505u, 37575, 1564296.1600007147},
     {trace::Workload::kSnake, core::policy::PolicyKind::kTreeLvc,
-     0u, 3983u, 26017u, 390255, 1916862.4800012289},
+     0u, 3983u, 26017u, 390255, 1916865.9600012291},
     {trace::Workload::kSnake, core::policy::PolicyKind::kTreeThreshold,
      1u, 2086u, 27913u, 418694.99999999994, 1946415.5000011344},
     {trace::Workload::kSnake, core::policy::PolicyKind::kTreeChildren,
@@ -129,7 +129,7 @@ const Golden kGolden[] = {
     {trace::Workload::kSnake, core::policy::PolicyKind::kPerfectSelector,
      1u, 8397u, 21602u, 324030, 1848719.420001077},
     {trace::Workload::kSnake, core::policy::PolicyKind::kTreeAdaptive,
-     0u, 3983u, 26017u, 390255, 1915570.8200010902},
+     0u, 3983u, 26017u, 390255, 1915570.2400010906},
     {trace::Workload::kSnake, core::policy::PolicyKind::kMarkov,
      0u, 21732u, 8268u, 124020, 1649011.6000008665},
     {trace::Workload::kSnake, core::policy::PolicyKind::kAssoc,

@@ -84,12 +84,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Golden{.kind = PolicyKind::kTreeNextLimit,
                .size = 21086,
-               .sha256 = "884ffb078ab0609447870605e84376bd"
-                         "30cc370a1828f09b07d519c1e671521f"},
+               .sha256 = "127361912cc19e26efd3435f106fc71d"
+                         "651edea4d274695a0519f46251ac12bc"},
         Golden{.kind = PolicyKind::kMarkov,
-               .size = 7913,
-               .sha256 = "5e760e5eb3a46d95c3d879455c723621"
-                         "d0561e55646767f0bdaf934efbb4f8d5"},
+               .size = 7987,
+               .sha256 = "0adbc79f1d130636306dee21dd35a01f"
+                         "9f9501d6429375b8197effeafe2b85e8"},
         Golden{.kind = PolicyKind::kAssoc,
                .size = 12440,
                .sha256 = "c5951e18522d178b6f54057598548203"
