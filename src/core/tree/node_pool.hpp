@@ -20,8 +20,10 @@
 // enumeration streams over one flat array instead of chasing per-node
 // heap blocks, and the next level's hot-plane entries can be software-
 // prefetched while the current run is scanned.  Edge lookup
-// (parent, block) -> child stays a single hash probe in a global
-// open-addressing edge map.
+// (parent, block) -> child is a single probe of the edge table: one
+// open-addressing array of 16-byte {block, parent, child} slots, so a
+// lookup, the duplicate-edge check in create() and the erase in
+// destroy() each read one array and nothing else.
 #pragma once
 
 #include <array>
@@ -31,7 +33,6 @@
 #include <vector>
 
 #include "trace/record.hpp"
-#include "util/flat_map.hpp"
 
 namespace pfp::core::tree {
 
@@ -79,17 +80,17 @@ struct NodeView {
 
 class NodePool {
  public:
-  NodePool();
-
   /// Allocates a node for `block` under `parent` (kNoNode for the root)
   /// with initial weight 1, and registers the edge.  Returns kNoNode,
   /// allocating nothing, if `parent` already has a child labelled
-  /// `block` — the edge-map insert is the duplicate probe.  May move the
-  /// parent's child run: spans from children() are invalidated.
+  /// `block` — the edge-table insert is the duplicate probe.  May move
+  /// the parent's child run: spans from children() are invalidated.
   NodeId create(NodeId parent, BlockId block);
 
-  /// Pre-sizes both planes and the edge map for at least `nodes` live
-  /// nodes, so a bulk rebuild (deserialization) never regrows them.
+  /// Pre-sizes both planes, the edge table and the child arena for at
+  /// least `nodes` live nodes, so a bulk rebuild (deserialization) never
+  /// regrows them.  A run holds at most twice its child count, so
+  /// 2 * nodes arena entries cover every run the rebuild reserves.
   void reserve(std::size_t nodes);
 
   /// Gives a node that has no child run yet one sized for `count`
@@ -106,8 +107,8 @@ class NodePool {
   void increment_weight(NodeId id);
 
   /// Destroys a node.  The node must be a leaf (no children).  Unlinks it
-  /// from its parent's child run and the edge map; a run whose last child
-  /// leaves is recycled into the arena free lists.
+  /// from its parent's child run and the edge table; a run whose last
+  /// child leaves is recycled into the arena free lists.
   void destroy(NodeId id);
 
   // --- per-node accessors ---------------------------------------------
@@ -140,7 +141,7 @@ class NodePool {
   /// Low-level mutable plane access.  Escape hatch for deserialization
   /// (weight restore) and the audit tests' seeded corruptions; regular
   /// callers go through the mutation API above, which keeps the order
-  /// and edge-map invariants.
+  /// and edge-table invariants.
   [[nodiscard]] HotNode& hot(NodeId id) { return hot_[id]; }
   [[nodiscard]] const HotNode& hot(NodeId id) const { return hot_[id]; }
   [[nodiscard]] ColdNode& cold(NodeId id) { return cold_[id]; }
@@ -169,34 +170,60 @@ class NodePool {
   }
 
   /// Bytes the current layout actually reserves: both planes, the child
-  /// arena, the free lists and the edge map (capacities, not live
+  /// arena, the free lists and the edge table (capacities, not live
   /// counts, because that is what the allocator charged us for).
   [[nodiscard]] std::size_t actual_memory_bytes() const noexcept;
 
   /// SIM_AUDIT sweep of the storage layout itself: plane sizes agree,
   /// live child runs sit inside the arena without overlapping each other
-  /// or a recycled run, free-list size classes match run capacities, and
-  /// every run entry points back at its owner.  Structural *tree*
-  /// invariants (order, symmetry, reachability) live in
-  /// PrefetchTree::audit(), which calls this.  No-op unless compiled
-  /// with SIM_AUDIT >= 1.
+  /// or a recycled run, free-list size classes match run capacities,
+  /// every run entry points back at its owner, the edge table holds one
+  /// slot per live non-root node and every slot's key matches its
+  /// child's hot record.  Structural *tree* invariants (order, symmetry,
+  /// reachability) live in PrefetchTree::audit(), which calls this.
+  /// No-op unless compiled with SIM_AUDIT >= 1.
   void audit() const;
 
  private:
-  struct EdgeKey {
-    NodeId parent;
-    BlockId block;
-    bool operator==(const EdgeKey&) const = default;
+  /// One edge-table slot.  16 bytes, no padding.  Empty when child ==
+  /// kNoNode: no real id equals kNoNode, and a root (no parent) is never
+  /// inserted.
+  struct EdgeSlot {
+    BlockId block = 0;
+    NodeId parent = kNoNode;
+    NodeId child = kNoNode;
   };
-  struct EdgeHash {
-    std::size_t operator()(const EdgeKey& key) const noexcept {
-      // splitmix-style combine; parent ids are dense, blocks sparse.
-      std::uint64_t x = key.block ^ (static_cast<std::uint64_t>(key.parent)
-                                     << 32);
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(x ^ (x >> 31));
+  static_assert(sizeof(EdgeSlot) == 16, "edge slots carry no padding");
+
+  /// (parent, block) -> child: one power-of-two array of EdgeSlots with
+  /// linear probing, at most 3/4 full, doubling growth and backward-shift
+  /// erase (Knuth 6.4 algorithm R), so probe chains never degrade under
+  /// the leaf-LRU churn of bounded trees.
+  class EdgeTable {
+   public:
+    EdgeTable();
+    [[nodiscard]] NodeId find(NodeId parent, BlockId block) const;
+    /// Registers the edge; returns false, changing nothing, if
+    /// (parent, block) is already present.
+    bool insert(NodeId parent, BlockId block, NodeId child);
+    void erase(NodeId parent, BlockId block);
+    /// Grows the array so `edges` entries fit without a rehash.
+    void reserve(std::size_t edges);
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] std::span<const EdgeSlot> slots() const noexcept {
+      return slots_;
     }
+
+   private:
+    [[nodiscard]] std::size_t home(NodeId parent,
+                                   BlockId block) const noexcept;
+    /// Slot holding (parent, block), or the empty slot ending its chain.
+    [[nodiscard]] std::size_t probe(NodeId parent, BlockId block) const;
+    void rehash(std::size_t capacity);
+
+    std::vector<EdgeSlot> slots_;
+    std::size_t mask_ = 0;
+    std::size_t size_ = 0;
   };
 
   /// Smallest non-empty run: covers the paper's typical 1–4 child fanout
@@ -224,7 +251,7 @@ class NodePool {
   /// Recycled run offsets, bucketed by log2(capacity).
   std::array<std::vector<std::uint32_t>, kRunClasses> free_runs_;
   std::vector<NodeId> free_;
-  util::FlatMap<EdgeKey, NodeId, EdgeHash> edges_;
+  EdgeTable edges_;
   std::size_t live_ = 0;
 };
 

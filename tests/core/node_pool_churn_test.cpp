@@ -5,9 +5,11 @@
 // assert the two stay observationally identical: same find_child answers,
 // same child enumeration order, same weights and positions.  Every 1'000
 // operations the full live structure is compared and, in SIM_AUDIT
-// builds, the pool's arena-layout audit must come back clean.
+// builds, the pool's arena-layout and edge-table audit must come back
+// clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -152,80 +154,125 @@ void expect_identical(const NodePool& pool, const ReferencePool& ref,
   }
 }
 
+// One stretch of the random walk: `ops` operations over labels
+// 1..block_space, create_pct percent of them creates, destroy_pct percent
+// leaf destroys and the rest weight increments.
+struct ChurnPhase {
+  int ops;
+  std::uint64_t create_pct;
+  std::uint64_t destroy_pct;
+  std::uint64_t block_space;
+};
+
+// Drives both pools through `phases` and compares them throughout.
+// Returns the most live nodes the pools held at once.
+std::size_t run_churn(const std::vector<ChurnPhase>& phases,
+                      std::uint64_t seed) {
+  NodePool pool;
+  ReferencePool ref;
+  const NodeId root = pool.create(kNoNode, 0);
+  EXPECT_EQ(ref.create(kNoNode, 0), root);
+
+  std::vector<NodeId> live{root};  // ids live in BOTH pools (identical)
+  std::size_t peak_live = live.size();
+  util::Xoshiro256 rng(seed);
+  int op = 0;
+  for (const ChurnPhase& phase : phases) {
+    for (int k = 0; k < phase.ops; ++k, ++op) {
+      const std::uint64_t dice = rng.below(100);
+      if (dice < phase.create_pct) {
+        // Create a child of a random live node under a random label; if
+        // the edge exists this is the parse's "walk the edge" case —
+        // increment.
+        const NodeId parent = live[rng.below(live.size())];
+        const BlockId block = 1 + rng.below(phase.block_space);
+        const NodeId existing = pool.find_child(parent, block);
+        EXPECT_EQ(existing, ref.find_child(parent, block));
+        if (existing != kNoNode) {
+          pool.increment_weight(existing);
+          ref.increment_weight(existing);
+        } else {
+          const NodeId a = pool.create(parent, block);
+          const NodeId b = ref.create(parent, block);
+          EXPECT_EQ(a, b) << "free-list recycling order diverged";
+          if (a != b) {
+            return peak_live;
+          }
+          live.push_back(a);
+          peak_live = std::max(peak_live, live.size());
+        }
+      } else if (dice < 100 - phase.destroy_pct) {
+        // Weight churn drives the sibling-run reorder path.
+        const NodeId id = live[rng.below(live.size())];
+        pool.increment_weight(id);
+        ref.increment_weight(id);
+      } else {
+        // Destroy a random live *leaf* (the pool's contract), freeing its
+        // slot and possibly its parent's whole child run.
+        const std::size_t start = rng.below(live.size());
+        for (std::size_t j = 0; j < live.size(); ++j) {
+          const std::size_t at = (start + j) % live.size();
+          const NodeId victim = live[at];
+          if (victim == root || pool.child_count(victim) != 0) {
+            continue;
+          }
+          pool.destroy(victim);
+          ref.destroy(victim);
+          live[at] = live.back();
+          live.pop_back();
+          break;
+        }
+      }
+
+      // Cheap per-op probe: one random edge lookup must agree.
+      const NodeId probe = live[rng.below(live.size())];
+      const BlockId label = 1 + rng.below(phase.block_space);
+      EXPECT_EQ(pool.find_child(probe, label), ref.find_child(probe, label));
+
+      if ((op + 1) % 1'000 == 0) {
+        expect_identical(pool, ref, live);
+        if (PFP_AUDIT_ENABLED) {
+          // Arena-layout and edge-table invariants (run ownership,
+          // free-list hygiene, freed-slot reset, one slot per live edge)
+          // must hold at every checkpoint.
+          EXPECT_NO_THROW(pool.audit());
+        }
+      }
+      if (::testing::Test::HasFailure()) {
+        return peak_live;
+      }
+    }
+  }
+  expect_identical(pool, ref, live);
+  if (PFP_AUDIT_ENABLED) {
+    EXPECT_NO_THROW(pool.audit());
+  }
+  return peak_live;
+}
+
 TEST(NodePoolChurn, RandomizedOpsMatchReferenceModel) {
   util::AuditHandler previous = nullptr;
   if (PFP_AUDIT_ENABLED) {
     previous = util::set_audit_handler(&throwing_handler);
   }
 
-  NodePool pool;
-  ReferencePool ref;
-  const NodeId root = pool.create(kNoNode, 0);
-  ASSERT_EQ(ref.create(kNoNode, 0), root);
+  // Small label space: forces fanout, duplicate edges and run reorders.
+  run_churn({{30'000, 45, 15, 48}}, 0xC0FFEE);
 
-  std::vector<NodeId> live{root};  // ids live in BOTH pools (identical)
-  util::Xoshiro256 rng(0xC0FFEE);
-  constexpr int kOps = 30'000;
-  constexpr std::uint64_t kBlockSpace = 48;  // small: forces fanout + dups
+  // Wide label space: grow to ~6000 live edges, which takes the edge
+  // table through three doublings (1024 -> 8192 slots at 3/4 load), churn
+  // there near full load, then destroy almost all of them.  A probe chain
+  // crosses the table's end only where a cluster straddles it, so the
+  // churn phase is what makes backward-shift erase wrap (13-28 times
+  // across the seeds tried) and shift entries back across the end.
+  const std::size_t peak = run_churn({{6'800, 90, 5, 1u << 20},
+                                      {60'000, 45, 45, 1u << 20},
+                                      {8'000, 10, 85, 1u << 20}},
+                                     0xFEED);
+  const std::size_t peak_edges = peak - 1;  // the root has no edge
+  EXPECT_GT(peak_edges, 4096u * 3u / 4u) << "edge table never reached 8192";
 
-  for (int op = 0; op < kOps; ++op) {
-    const std::uint64_t dice = rng.below(100);
-    if (dice < 45) {
-      // Create a child of a random live node under a random label; if the
-      // edge exists this is the parse's "walk the edge" case — increment.
-      const NodeId parent = live[rng.below(live.size())];
-      const BlockId block = 1 + rng.below(kBlockSpace);
-      const NodeId existing = pool.find_child(parent, block);
-      ASSERT_EQ(existing, ref.find_child(parent, block));
-      if (existing != kNoNode) {
-        pool.increment_weight(existing);
-        ref.increment_weight(existing);
-      } else {
-        const NodeId a = pool.create(parent, block);
-        const NodeId b = ref.create(parent, block);
-        ASSERT_EQ(a, b) << "free-list recycling order diverged";
-        live.push_back(a);
-      }
-    } else if (dice < 85) {
-      // Weight churn drives the sibling-run reorder path.
-      const NodeId id = live[rng.below(live.size())];
-      pool.increment_weight(id);
-      ref.increment_weight(id);
-    } else {
-      // Destroy a random live *leaf* (the pool's contract), freeing its
-      // slot and possibly its parent's whole child run.
-      const std::size_t start = rng.below(live.size());
-      for (std::size_t k = 0; k < live.size(); ++k) {
-        const std::size_t at = (start + k) % live.size();
-        const NodeId victim = live[at];
-        if (victim == root || pool.child_count(victim) != 0) {
-          continue;
-        }
-        pool.destroy(victim);
-        ref.destroy(victim);
-        live[at] = live.back();
-        live.pop_back();
-        break;
-      }
-    }
-
-    // Cheap per-op probe: one random edge lookup must agree.
-    const NodeId probe = live[rng.below(live.size())];
-    const BlockId label = 1 + rng.below(kBlockSpace);
-    ASSERT_EQ(pool.find_child(probe, label), ref.find_child(probe, label));
-
-    if ((op + 1) % 1'000 == 0) {
-      expect_identical(pool, ref, live);
-      if (PFP_AUDIT_ENABLED) {
-        // Arena-layout invariants (run ownership, free-list hygiene,
-        // freed-slot reset) must hold at every checkpoint.
-        ASSERT_NO_THROW(pool.audit());
-      }
-    }
-  }
-  expect_identical(pool, ref, live);
   if (PFP_AUDIT_ENABLED) {
-    ASSERT_NO_THROW(pool.audit());
     util::set_audit_handler(previous);
   }
 }
@@ -243,10 +290,18 @@ TEST(NodePoolChurn, ActualMemoryTracksLayoutNotPaperAccounting) {
   EXPECT_GE(pool.actual_memory_bytes(),
             pool.live_nodes() * (sizeof(HotNode) + sizeof(ColdNode)));
   const std::size_t before = pool.actual_memory_bytes();
-  for (BlockId b = 65; b <= 512; ++b) {
+  for (BlockId b = 65; b <= 768; ++b) {
     pool.create(root, b);
   }
   EXPECT_GT(pool.actual_memory_bytes(), before);
+
+  // 768 edges fill the fresh 1024-slot edge table to 3/4; the 769th
+  // doubles it.  Both planes (1024 entries since node 513) and the root's
+  // child run (1024 since child 513) stay put on that create, so the
+  // whole increase is 1024 new edge slots of 16 bytes each.
+  const std::size_t full = pool.actual_memory_bytes();
+  pool.create(root, 769);
+  EXPECT_EQ(pool.actual_memory_bytes() - full, 1024u * 16u);
 }
 
 }  // namespace
